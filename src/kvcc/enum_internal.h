@@ -1,5 +1,5 @@
 // Internal core of the k-VCC enumeration engine (paper Algorithm 1),
-// shared by the serial path in kvcc_enum.cc and the batch KvccEngine in
+// shared by the serial driver in kvcc_enum.cc and the batch KvccEngine in
 // engine.cc. Not part of the public API surface; include kvcc/kvcc_enum.h
 // or kvcc/engine.h instead.
 //
@@ -13,15 +13,14 @@
 // to the serial run's.
 //
 // Preprocessing inside the step (peel + component split) runs the flat
-// kernels of graph/k_core.h and graph/preprocess.h. With
-// KvccOptions::fused_prune (the default) the step never materializes the
-// whole k-core as an intermediate Graph: the peel's removal marks mask the
-// Afforest component kernel, and each component's induced subgraph is built
-// directly from the working graph through the pooled GraphBuilder —
-// emitting upper-triangle edges in lexicographic order so BuildInto takes
-// its sorted fast path. The staged reference path (fused_prune off)
-// materializes core-then-components exactly like the pre-fusion code and
-// must stay byte-identical; preprocessing_test pins the equivalence.
+// kernels of graph/k_core.h and graph/preprocess.h as one fused pass that
+// never materializes the whole k-core as an intermediate Graph: the peel's
+// removal marks mask the Afforest component kernel, and each component's
+// induced subgraph is built directly from the working graph through the
+// pooled GraphBuilder — emitting upper-triangle edges in lexicographic
+// order so BuildInto takes its sorted fast path. preprocessing_test pins
+// the kernel against the staged peel / induce / BFS-label pipeline and the
+// enumeration against the brute-force oracle.
 //
 // The emit callback is also the streaming-delivery tap (kvcc/stream.h):
 // the drivers either buffer emitted components for a sorted KvccResult
@@ -70,8 +69,7 @@ struct WorkItem {
 /// every job it serves. A default-constructed scratch is always valid.
 struct EnumScratch {
   GlobalCutScratch cut_scratch;
-  // NeighborsOfSet working set.
-  std::vector<bool> nbr_in_set;
+  // NeighborsOfSet output.
   std::vector<bool> nbr_touched;
   // Fused prune pipeline: peel marks + Afforest labels + component
   // grouping, the direct component-subgraph builder, and its output pool
@@ -87,22 +85,16 @@ struct EnumScratch {
 /// dilation, excluding the sources themselves unless they qualify). Used
 /// for the partition-time maintenance rule: a strong side-vertex verdict
 /// survives a partition by cut S iff N(v) ∩ S = ∅ (Lemma 16). Returns a
-/// reference into `scratch`, valid until the next call.
+/// reference into `scratch`, valid until the next call. The graph is
+/// undirected, so marking N(s) for every source s finds the same set in
+/// O(n + sum of deg(s)) instead of a full O(m) scan.
 inline const std::vector<bool>& NeighborsOfSet(
     const Graph& g, const std::vector<VertexId>& sources,
     EnumScratch& scratch) {
-  std::vector<bool>& in_set = scratch.nbr_in_set;
   std::vector<bool>& touched = scratch.nbr_touched;
-  in_set.assign(g.NumVertices(), false);
-  for (VertexId s : sources) in_set[s] = true;
   touched.assign(g.NumVertices(), false);
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    for (VertexId w : g.Neighbors(v)) {
-      if (in_set[w]) {
-        touched[v] = true;
-        break;
-      }
-    }
+  for (VertexId s : sources) {
+    for (VertexId w : g.Neighbors(s)) touched[w] = true;
   }
   return touched;
 }
@@ -160,17 +152,16 @@ void ProcessItem(WorkItem&& item, const Graph* root, std::uint32_t k,
     peel_touched = TwoHopBall(*cur, removed);
   }
 
-  // Maps a component subgraph's vertex i (= cur vertex cur_of(i)) to its
+  // Maps a component subgraph's vertex i (= cur vertex comp[i]) to its
   // carried hint, degrading peel-touched strong verdicts to recheck.
-  const auto build_hints = [&](auto&& cur_of, VertexId sub_n,
+  const auto build_hints = [&](std::span<const VertexId> comp,
                                std::vector<SideVertexHint>& out_hints) {
     if (!have_hints) return;
-    out_hints.resize(sub_n);
-    for (VertexId i = 0; i < sub_n; ++i) {
-      const VertexId cur_v = cur_of(i);
-      SideVertexHint h = item.hints[cur_v];
+    out_hints.resize(comp.size());
+    for (std::size_t i = 0; i < comp.size(); ++i) {
+      SideVertexHint h = item.hints[comp[i]];
       if (h == SideVertexHint::kStrong && !peel_touched.empty() &&
-          peel_touched[cur_v]) {
+          peel_touched[comp[i]]) {
         h = SideVertexHint::kRecheck;
       }
       out_hints[i] = h;
@@ -227,121 +218,62 @@ void ProcessItem(WorkItem&& item, const Graph* root, std::uint32_t k,
     }
   };
 
-  if (options.fused_prune) {
-    // --- fused component split (Alg. 1 line 3) ---
-    // The peel marks mask the Afforest kernel, and each component's
-    // subgraph is built straight from `cur` — no whole-core intermediate.
-    const PeelMask mask = prune.kcore.Mask();
-    stats.cc_hooks += AfforestComponentsInto(
-        *cur, &mask, scheduler, task_priority, prune.cc, prune.labeling);
-    GroupSurvivorsByComponent(prune);
-    const std::uint32_t ncomp = prune.labeling.count;
-    const bool single_component = ncomp == 1;
-    if (!full_core && ncomp > 1) {
-      // Only this shape would have materialized a whole-core Graph that no
-      // component reuses on the staged path.
-      ++stats.prune_fused_passes;
-    }
-    for (std::uint32_t c = 0; c < ncomp; ++c) {
-      const std::span<const VertexId> comp{
-          prune.comp_vertices.data() + prune.comp_offsets[c],
-          static_cast<std::size_t>(prune.comp_offsets[c + 1] -
-                                   prune.comp_offsets[c])};
-      if (comp.size() <= k) continue;  // Cannot contain a k-VCC (Def. 2).
-      std::vector<SideVertexHint> sub_hints;
-      build_hints([&](VertexId i) { return comp[i]; },
-                  static_cast<VertexId>(comp.size()), sub_hints);
-      if (full_core && single_component) {
-        // The working graph already is the single component: reuse it
-        // (read the root in place / adopt the owned graph) — the same
-        // zero-copy fast path the staged code takes.
-        if (as_root) {
-          run_cut(*root, /*sub_is_root=*/true, sub_hints);
-        } else {
-          const Graph sub_owned = std::move(item.graph);  // `cur` dies.
-          run_cut(sub_owned, /*sub_is_root=*/false, sub_hints);
-        }
-        continue;
-      }
-      // Direct induced-subgraph build: component members get local ids in
-      // ascending cur order, and only upper-triangle (lw > i) alive
-      // neighbors are emitted — lexicographically sorted, so BuildInto
-      // skips its edge sort. An alive neighbor of a component member is in
-      // the same component by definition, so local_id[w] is always bound.
-      std::vector<VertexId>& local = scratch.local_id;
-      if (local.size() < cur->NumVertices()) local.resize(cur->NumVertices());
-      for (std::size_t i = 0; i < comp.size(); ++i) {
-        local[comp[i]] = static_cast<VertexId>(i);
-      }
-      GraphBuilder& builder = scratch.sub_builder;
-      builder.EnsureVertex(static_cast<VertexId>(comp.size()) - 1);
-      for (std::size_t i = 0; i < comp.size(); ++i) {
-        const VertexId li = static_cast<VertexId>(i);
-        for (const VertexId w : cur->Neighbors(comp[i])) {
-          if (mask.Removed(w)) continue;
-          const VertexId lw = local[w];
-          if (lw > li) builder.AddEdge(li, lw);
-        }
-      }
-      builder.SetLabelsFromSubset(*cur, comp, as_root);
-      builder.BuildInto(scratch.sub_pool);
-      run_cut(scratch.sub_pool, /*sub_is_root=*/false, sub_hints);
-    }
-    return;
+  // --- fused component split (Alg. 1 line 3) ---
+  // The peel marks mask the Afforest kernel, and each component's
+  // subgraph is built straight from `cur` — no whole-core intermediate.
+  const PeelMask mask = prune.kcore.Mask();
+  stats.cc_hooks += AfforestComponentsInto(
+      *cur, &mask, scheduler, task_priority, prune.cc, prune.labeling);
+  GroupSurvivorsByComponent(prune);
+  const std::uint32_t ncomp = prune.labeling.count;
+  const bool single_component = ncomp == 1;
+  if (!full_core && ncomp > 1) {
+    // A partial core split into several components: the one shape where
+    // fusion skips a whole-core Graph that no component would reuse.
+    ++stats.prune_fused_passes;
   }
-
-  // --- staged reference path (fused_prune off) ---
-  // Materialize the whole k-core, BFS-label its components, then induce
-  // each component from the core. Kept as the ablation baseline the fused
-  // path is tested against; cc_hooks is booked in closed form (each hook
-  // of the union kernel retires exactly one root, so the total is always
-  // survivors - components).
-  Graph core_owned;
-  const Graph* core = nullptr;
-  bool core_as_root = false;
-  if (full_core && as_root) {
-    core = root;
-    core_as_root = true;
-  } else if (full_core) {
-    core_owned = std::move(item.graph);  // `cur` is dead from here on.
-    core = &core_owned;
-  } else {
-    core_owned = as_root ? cur->InducedSubgraphAsRoot(survivors)
-                         : cur->InducedSubgraph(survivors);
-    core = &core_owned;
-  }
-
-  const std::vector<std::vector<VertexId>> components =
-      ConnectedComponents(*core);
-  stats.cc_hooks += survivors.size() - components.size();
-  const bool single_component = components.size() == 1;
-  for (const std::vector<VertexId>& comp : components) {
+  for (std::uint32_t c = 0; c < ncomp; ++c) {
+    const std::span<const VertexId> comp{
+        prune.comp_vertices.data() + prune.comp_offsets[c],
+        static_cast<std::size_t>(prune.comp_offsets[c + 1] -
+                                 prune.comp_offsets[c])};
     if (comp.size() <= k) continue;  // Cannot contain a k-VCC (Def. 2).
-
-    // Materialize this component; a single component spanning everything
-    // reuses `core` the same way `core` reused the item graph.
-    Graph sub_owned;
-    const Graph* sub = nullptr;
-    bool sub_as_root = false;
-    if (single_component && core_as_root) {
-      sub = core;
-      sub_as_root = true;
-    } else if (single_component) {
-      sub_owned = std::move(core_owned);
-      sub = &sub_owned;
-    } else if (core_as_root) {
-      sub_owned = core->InducedSubgraphAsRoot(comp);
-      sub = &sub_owned;
-    } else {
-      sub_owned = core->InducedSubgraph(comp);
-      sub = &sub_owned;
-    }
-
-    // core vertex comp[i] corresponds to cur vertex survivors[comp[i]].
     std::vector<SideVertexHint> sub_hints;
-    build_hints([&](VertexId i) { return survivors[comp[i]]; },
-                sub->NumVertices(), sub_hints);
-    run_cut(*sub, sub_as_root, sub_hints);
+    build_hints(comp, sub_hints);
+    if (full_core && single_component) {
+      // The working graph already is the single component: reuse it
+      // (read the root in place / adopt the owned graph) with no copy.
+      if (as_root) {
+        run_cut(*root, /*sub_is_root=*/true, sub_hints);
+      } else {
+        const Graph sub_owned = std::move(item.graph);  // `cur` dies.
+        run_cut(sub_owned, /*sub_is_root=*/false, sub_hints);
+      }
+      continue;
+    }
+    // Direct induced-subgraph build: component members get local ids in
+    // ascending cur order, and only upper-triangle (lw > i) alive
+    // neighbors are emitted — lexicographically sorted, so BuildInto
+    // skips its edge sort. An alive neighbor of a component member is in
+    // the same component by definition, so local_id[w] is always bound.
+    std::vector<VertexId>& local = scratch.local_id;
+    if (local.size() < cur->NumVertices()) local.resize(cur->NumVertices());
+    for (std::size_t i = 0; i < comp.size(); ++i) {
+      local[comp[i]] = static_cast<VertexId>(i);
+    }
+    GraphBuilder& builder = scratch.sub_builder;
+    builder.EnsureVertex(static_cast<VertexId>(comp.size()) - 1);
+    for (std::size_t i = 0; i < comp.size(); ++i) {
+      const VertexId li = static_cast<VertexId>(i);
+      for (const VertexId w : cur->Neighbors(comp[i])) {
+        if (mask.Removed(w)) continue;
+        const VertexId lw = local[w];
+        if (lw > li) builder.AddEdge(li, lw);
+      }
+    }
+    builder.SetLabelsFromSubset(*cur, comp, as_root);
+    builder.BuildInto(scratch.sub_pool);
+    run_cut(scratch.sub_pool, /*sub_is_root=*/false, sub_hints);
   }
 }
 

@@ -69,26 +69,21 @@ struct KvccStats {
   std::uint64_t kcore_removed_vertices = 0;
 
   // --- preprocessing-kernel counters (flat-parallel prune pipeline) ---
-  // All three are replay-identical across thread counts.
-  // kcore_bucket_rounds and cc_hooks are also identical between the fused
-  // and staged prune paths: the bucket peel's round count is the peel
-  // depth of the graph, and the hook count of the min-wins Afforest
-  // union equals (survivors - components) — an identity the staged path
-  // computes in closed form and tests assert against the fused kernel's
-  // live count. prune_fused_passes is a fused-path diagnostic: it stays 0
-  // when KvccOptions::fused_prune is off (like the probe-waste counters
-  // on serial runs, it is the one documented fused-vs-staged difference).
+  // All three are replay-identical across thread counts. The bucket
+  // peel's round count is the peel depth of the graph, and the hook count
+  // of the min-wins Afforest union equals (survivors - components) — an
+  // identity preprocessing_test asserts against the kernel's live count.
 
   /// \brief Level-synchronous rounds of the bucket k-core peel, summed
   /// over all work items (the peel depth of each processed subgraph).
   std::uint64_t kcore_bucket_rounds = 0;
   /// \brief Successful CAS hooks of the Afforest component kernel. Each
   /// hook retires exactly one union-find root, so per work item this is
-  /// survivors - components regardless of interleaving; the staged path
-  /// books the same closed form.
+  /// survivors - components regardless of interleaving.
   std::uint64_t cc_hooks = 0;
-  /// \brief Fused prune passes that actually elided an intermediate
-  /// whole-core materialization (0 when fused_prune is off).
+  /// \brief Fused prune passes that split a partial k-core (some vertices
+  /// peeled) into several components — the passes where fusion skips
+  /// materializing a whole-core subgraph that no component reuses.
   std::uint64_t prune_fused_passes = 0;
 
   // --- certificate / side-vertex instrumentation ---

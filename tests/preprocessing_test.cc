@@ -1,8 +1,9 @@
 // The flat-parallel preprocessing kernels against their serial references:
 // Afforest labeling vs BFS labeling, the bucket peel vs a naive
 // queue-based peel, the fused prune vs the staged pipeline, full
-// enumeration fused-vs-staged, and the parallel edge-list loader vs the
-// serial reader — all demanding *exact* equality at every thread count.
+// enumeration vs the brute-force partition oracle, and the parallel
+// edge-list loader vs the serial reader — all demanding *exact* equality
+// at every thread count.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,7 @@
 #include "graph/k_core.h"
 #include "graph/preprocess.h"
 #include "kvcc/kvcc_enum.h"
+#include "kvcc/stream.h"
 #include "support/brute_force.h"
 
 namespace kvcc {
@@ -271,34 +273,36 @@ TEST(FusedPruneTest, MatchesStagedPipeline) {
   }
 }
 
-/// Stats must match fused-vs-staged except prune_fused_passes (only the
-/// fused path books elided materializations); compare with it zeroed.
-std::string StatsFingerprint(KvccStats stats) {
-  stats.prune_fused_passes = 0;
-  return stats.ToJson();
-}
+/// Keeps the stats a streaming run reports on completion.
+class StatsSink : public ComponentSink {
+ public:
+  void OnComponent(StreamedComponent) override {}
+  void OnComplete(const KvccStats& stats) override { json = stats.ToJson(); }
+  std::string json;
+};
 
-TEST(FusedPruneTest, EnumerationIdenticalFusedVsStaged) {
+TEST(FusedPruneTest, EnumerationMatchesBruteForceAtEveryThreadCount) {
   for (const Graph& g :
        {TwoCliquesSharing(8, 2), RandomConnectedGraph(60, 120, 5),
         DisconnectedFixture(), BarabasiAlbert(300, 4, 7)}) {
     for (const std::uint32_t k : {2u, 3u, 4u}) {
-      KvccOptions staged = KvccOptions::VcceStar();
-      staged.fused_prune = false;
-      const KvccResult reference = EnumerateKVccs(g, k, staged);
-      EXPECT_EQ(reference.stats.prune_fused_passes, 0u);
-
-      KvccOptions fused = KvccOptions::VcceStar();
-      fused.fused_prune = true;
+      const std::vector<std::vector<VertexId>> expected =
+          testing::BruteKVccsByPartition(g, k);
+      if (g.NumVertices() <= 17) {
+        // The partition oracle itself agrees with subset enumeration.
+        EXPECT_EQ(expected, testing::BruteKVccs(g, k)) << "k=" << k;
+      }
+      KvccOptions options = KvccOptions::VcceStar();
       for (const unsigned threads : kThreadCounts) {
-        fused.num_threads = threads;
-        const KvccResult result = EnumerateKVccs(g, k, fused);
-        EXPECT_EQ(result.components, reference.components)
+        options.num_threads = threads;
+        const KvccResult result = EnumerateKVccs(g, k, options);
+        EXPECT_EQ(result.components, expected)
             << "k=" << k << " threads=" << threads;
         if (threads == 1) {
-          EXPECT_EQ(StatsFingerprint(result.stats),
-                    StatsFingerprint(reference.stats))
-              << "k=" << k;
+          // Both serial entry points share one driver: same counters.
+          StatsSink sink;
+          EnumerateKVccsStreaming(g, k, sink, options);
+          EXPECT_EQ(result.stats.ToJson(), sink.json) << "k=" << k;
         }
       }
     }

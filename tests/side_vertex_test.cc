@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "gen/fixtures.h"
 #include "graph/graph.h"
+#include "kvcc/enum_internal.h"
 #include "support/brute_force.h"
 
 namespace kvcc {
@@ -122,6 +126,30 @@ TEST(TwoHopBallTest, MultipleSourcesUnion) {
   EXPECT_TRUE(ball[7]);
   EXPECT_FALSE(ball[4]);
   EXPECT_FALSE(ball[5]);
+}
+
+// The Lemma-16 maintenance set: vertices with a neighbor in the cut. One
+// scratch serves graphs of several sizes, as on a worker.
+TEST(NeighborsOfSetTest, MatchesFullScanOnRandomGraphs) {
+  internal::EnumScratch scratch;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const Graph g = testing::RandomConnectedGraph(
+        static_cast<VertexId>(20 + 3 * seed), 40, seed);
+    std::vector<VertexId> sources;
+    for (VertexId v = seed % 5; v < g.NumVertices(); v += 6) {
+      sources.push_back(v);
+    }
+    std::vector<bool> expected(g.NumVertices(), false);
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      for (VertexId w : g.Neighbors(v)) {
+        if (std::find(sources.begin(), sources.end(), w) != sources.end()) {
+          expected[v] = true;
+        }
+      }
+    }
+    EXPECT_EQ(internal::NeighborsOfSet(g, sources, scratch), expected)
+        << "seed=" << seed;
+  }
 }
 
 }  // namespace

@@ -55,6 +55,78 @@ bool ForEachSubsetOfSize(VertexId n, std::uint32_t bits, F&& f) {
   return false;
 }
 
+/// Lowlink DFS over g - removed from `root`: returns an articulation
+/// point of the reached part (kInvalidVertex if there is none) and counts
+/// the reached vertices into `reached`.
+VertexId FindArticulationPoint(const Graph& g,
+                               const std::vector<char>& removed,
+                               VertexId root, VertexId& reached) {
+  std::vector<std::uint32_t> order(g.NumVertices(), 0), low(order);
+  std::uint32_t clock = 0;
+  VertexId found = kInvalidVertex;
+  const auto visit = [&](const auto& self, VertexId v,
+                         VertexId parent) -> void {
+    order[v] = low[v] = ++clock;
+    std::uint32_t children = 0;
+    for (VertexId w : g.Neighbors(v)) {
+      if (removed[w] || w == parent) continue;
+      if (order[w] != 0) {
+        low[v] = std::min(low[v], order[w]);
+        continue;
+      }
+      self(self, w, v);
+      ++children;
+      low[v] = std::min(low[v], low[w]);
+      if (parent != kInvalidVertex && low[w] >= order[v]) found = v;
+    }
+    if (parent == kInvalidVertex && children >= 2) found = v;
+  };
+  visit(visit, root, kInvalidVertex);
+  reached = clock;
+  return found;
+}
+
+/// A vertex cut of the connected graph g with fewer than k vertices, or
+/// empty when g (n > k) is k-vertex-connected. Removal sets R are tried
+/// in ascending size up to k - 2; a minimum cut C is found as
+/// R = C - {x} plus the articulation point x of g - R.
+std::vector<VertexId> ExhaustiveSmallCut(const Graph& g, std::uint32_t k) {
+  const VertexId n = g.NumVertices();
+  std::vector<char> removed(n, 0);
+  std::vector<VertexId> set;
+  std::vector<VertexId> cut;
+  // Tries every removal set extending `set` by `left` ids >= `from`.
+  const auto search = [&](const auto& self, VertexId from,
+                          std::uint32_t left) -> bool {
+    if (left == 0) {
+      VertexId root = 0;
+      while (removed[root]) ++root;
+      VertexId reached = 0;
+      const VertexId x = FindArticulationPoint(g, removed, root, reached);
+      if (reached < n - set.size()) {
+        cut = set;  // g - R itself is disconnected.
+      } else if (x != kInvalidVertex) {
+        cut = set;
+        cut.push_back(x);
+      }
+      return !cut.empty();
+    }
+    for (VertexId v = from; v < n; ++v) {
+      removed[v] = 1;
+      set.push_back(v);
+      const bool hit = self(self, v + 1, left - 1);
+      set.pop_back();
+      removed[v] = 0;
+      if (hit) return true;
+    }
+    return false;
+  };
+  for (std::uint32_t size = 0; size + 2 <= k; ++size) {
+    if (search(search, 0, size)) break;
+  }
+  return cut;
+}
+
 }  // namespace
 
 std::uint32_t BruteLocalVertexConnectivity(const Graph& g, VertexId u,
@@ -138,6 +210,71 @@ std::vector<std::vector<VertexId>> BruteKVccs(const Graph& g,
       if (mask >> v & 1) members.push_back(v);
     }
     result.push_back(std::move(members));
+  }
+  std::sort(result.begin(), result.end());
+  return result;
+}
+
+std::vector<std::vector<VertexId>> BruteKVccsByPartition(const Graph& g,
+                                                         std::uint32_t k) {
+  std::vector<std::vector<VertexId>> result;
+  std::vector<Graph> work;
+  work.push_back(g.WithIdentityLabels());
+  while (!work.empty()) {
+    const Graph cur = std::move(work.back());
+    work.pop_back();
+    // k-core peel: every vertex of a k-VCC has degree >= k inside it.
+    const VertexId n = cur.NumVertices();
+    std::vector<VertexId> degree(n);
+    std::vector<VertexId> queue;
+    std::vector<char> peeled(n, 0);
+    for (VertexId v = 0; v < n; ++v) {
+      degree[v] = static_cast<VertexId>(cur.Neighbors(v).size());
+      if (degree[v] < k) {
+        peeled[v] = 1;
+        queue.push_back(v);
+      }
+    }
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      for (VertexId w : cur.Neighbors(queue[head])) {
+        if (!peeled[w] && --degree[w] < k) {
+          peeled[w] = 1;
+          queue.push_back(w);
+        }
+      }
+    }
+    std::vector<VertexId> survivors;
+    for (VertexId v = 0; v < n; ++v) {
+      if (!peeled[v]) survivors.push_back(v);
+    }
+    const Graph core = cur.InducedSubgraph(survivors);
+    for (const std::vector<VertexId>& comp : ConnectedComponents(core)) {
+      if (comp.size() <= k) continue;
+      const Graph sub = core.InducedSubgraph(comp);
+      const std::vector<VertexId> cut = ExhaustiveSmallCut(sub, k);
+      if (cut.empty()) {
+        std::vector<VertexId> ids;
+        for (VertexId v = 0; v < sub.NumVertices(); ++v) {
+          ids.push_back(sub.LabelOf(v));
+        }
+        std::sort(ids.begin(), ids.end());
+        result.push_back(std::move(ids));
+        continue;
+      }
+      // Overlapped partition: each component of sub - cut, plus the cut.
+      std::vector<char> in_cut(sub.NumVertices(), 0);
+      for (VertexId c : cut) in_cut[c] = 1;
+      std::vector<VertexId> rest;
+      for (VertexId v = 0; v < sub.NumVertices(); ++v) {
+        if (!in_cut[v]) rest.push_back(v);
+      }
+      const Graph split = sub.InducedSubgraph(rest);
+      for (const std::vector<VertexId>& side : ConnectedComponents(split)) {
+        std::vector<VertexId> piece = cut;
+        for (VertexId v : side) piece.push_back(rest[v]);
+        work.push_back(sub.InducedSubgraph(piece));
+      }
+    }
   }
   std::sort(result.begin(), result.end());
   return result;

@@ -29,6 +29,17 @@ std::uint32_t BruteVertexConnectivity(const Graph& g);
 std::vector<std::vector<VertexId>> BruteKVccs(const Graph& g,
                                               std::uint32_t k);
 
+/// All k-VCCs by the overlapped-partition framework of Algorithm 1 (peel
+/// to the k-core, split into components, cut, recurse on the pieces) with
+/// every cut found by exhaustive search instead of max-flow: each removal
+/// set R with |R| <= k - 2, plus an articulation point of g - R. Exact and
+/// free of the flow / certificate / sweep / fused-prune machinery; the
+/// search is C(n, k - 2) DFS passes per subgraph, so it reaches a few
+/// hundred vertices for k <= 4, where BruteKVccs cannot. Output format
+/// matches KvccResult::components.
+std::vector<std::vector<VertexId>> BruteKVccsByPartition(const Graph& g,
+                                                         std::uint32_t k);
+
 /// Global minimum edge cut weight by enumerating bipartitions (n <= ~14).
 /// Returns UINT64_MAX for graphs with < 2 vertices.
 std::uint64_t BruteMinEdgeCutWeight(const Graph& g);
