@@ -52,9 +52,20 @@ class GraphBuilder {
   /// builder's own buffers keep their capacity too). A builder + Graph pair
   /// cycled through AddEdge.../BuildInto reaches a steady state with no
   /// allocations once capacities have grown to the largest graph seen —
-  /// this is what keeps the per-worker sparse-certificate rebuild off the
-  /// allocator on the GLOBAL-CUT hot path.
+  /// this is what keeps the fused prune pass's per-component subgraph
+  /// build off the allocator.
   void BuildInto(Graph& out);
+
+  /// Writes into `out` the spanning subgraph of `g` holding the edges
+  /// {u, w} with keep(u, w), with g's vertex ids and labels. `keep` must be
+  /// symmetric. g's neighbor rows are sorted, so filtering them row by row
+  /// yields normalized CSR without an edge list or a sort. Reuses `out`'s
+  /// storage (its adjacency capacity grows to g's), so once capacities
+  /// have grown a rebuild performs no heap allocation — the sparse
+  /// certificate is written this way on the GLOBAL-CUT hot path. `out`
+  /// must not be `g`.
+  template <typename Keep>
+  static void FilterInto(const Graph& g, Keep keep, Graph& out);
 
  private:
   VertexId num_vertices_ = 0;
@@ -62,6 +73,34 @@ class GraphBuilder {
   std::vector<VertexId> labels_;
   std::vector<std::uint64_t> cursor_;  // BuildInto fill positions
 };
+
+// Steady-state zero-allocation is asserted dynamically by
+// memory_tracker_test.WarmGlobalCutAllocatesNothing; the grow-only calls
+// below allocate only when `out` outgrows its capacity.
+// kvcc-lint: no-alloc
+template <typename Keep>
+void GraphBuilder::FilterInto(const Graph& g, Keep keep, Graph& out) {
+  const VertexId n = g.num_vertices_;
+  out.num_vertices_ = n;
+  out.offsets_.resize(static_cast<std::size_t>(n) + 1);  // kvcc-lint: reserved
+  // Every entry is stored and the cursor advances only past kept ones: the
+  // keep test is data-dependent, and a branch on it mispredicts. The cursor
+  // never passes the entries read so far, so g's size bounds every store.
+  out.adjacency_.resize(g.adjacency_.size());  // kvcc-lint: reserved
+  VertexId* const adjacency = out.adjacency_.data();
+  std::uint64_t kept = 0;
+  out.offsets_[0] = 0;
+  for (VertexId u = 0; u < n; ++u) {
+    for (const VertexId w : g.Neighbors(u)) {
+      adjacency[kept] = w;
+      kept += keep(u, w) ? 1 : 0;
+    }
+    out.offsets_[u + 1] = kept;
+  }
+  out.adjacency_.resize(kept);  // kvcc-lint: reserved (shrinks)
+  out.num_edges_ = kept / 2;
+  out.labels_.assign(g.labels_.begin(), g.labels_.end());  // kvcc-lint: reserved
+}
 
 }  // namespace kvcc
 

@@ -99,9 +99,9 @@ struct GlobalCutScratch {
   /// is never probed while a wavefront is in flight.
   std::unique_ptr<CutOracle> oracle;
 
-  /// Sparse-certificate output storage plus build buffers (mate/offset/
-  /// used/builder); rebuilt in place per invocation when the certificate
-  /// is enabled.
+  /// Sparse-certificate output storage plus the maximum-adjacency scan
+  /// arrays; rebuilt in place per invocation when the certificate is
+  /// enabled.
   SparseCertificate cert;
   CertificateScratch cert_scratch;
 

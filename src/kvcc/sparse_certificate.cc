@@ -2,7 +2,19 @@
 
 #include <algorithm>
 
+#include "graph/graph_builder.h"
+
 namespace kvcc {
+namespace {
+
+constexpr VertexId kNone = kInvalidVertex;
+// limit[] of a vertex that never reaches r = k: every edge to it is kept.
+constexpr std::uint32_t kNoLimit = static_cast<std::uint32_t>(-1);
+// Group id of an F_k tree root with at least one child, until the
+// ascending pass numbers its tree.
+constexpr std::uint32_t kUnnumbered = kNoGroup - 1;
+
+}  // namespace
 
 SparseCertificate BuildSparseCertificate(const Graph& g, std::uint32_t k) {
   SparseCertificate out;
@@ -11,137 +23,106 @@ SparseCertificate BuildSparseCertificate(const Graph& g, std::uint32_t k) {
   return out;
 }
 
+// Steady-state zero-allocation is asserted dynamically by
+// memory_tracker_test.WarmGlobalCutAllocatesNothing; the grow-only
+// assigns/resizes below allocate only when the graph outgrows the scratch
+// watermark (a cold-path event).
+// kvcc-lint: no-alloc
 void BuildSparseCertificate(const Graph& g, std::uint32_t k,
                             SparseCertificate& out,
                             CertificateScratch& scratch) {
   const VertexId n = g.NumVertices();
-  out.group_of.assign(n, kNoGroup);
+  // r(y) <= deg(y) < n, so buckets above n are never used.
+  const std::uint32_t top_bucket = std::min<std::uint32_t>(k, n);
+  auto& r = scratch.r;
+  auto& head = scratch.bucket_head;
+  auto& next = scratch.next;
+  auto& prev = scratch.prev;
+  auto& ord = scratch.ord;
+  auto& limit = scratch.limit;
+  auto& tree = scratch.tree;
+  r.assign(n, 0);                      // kvcc-lint: reserved
+  head.assign(top_bucket + 1, kNone);  // kvcc-lint: reserved
+  // With k = 0 nothing is kept: ord[u] < limit[w] never holds.
+  limit.assign(n, k == 0 ? 0 : kNoLimit);  // kvcc-lint: reserved
+  tree.assign(n, kNone);                   // kvcc-lint: reserved
+  // Fully overwritten below.
+  next.resize(n);  // kvcc-lint: reserved
+  prev.resize(n);  // kvcc-lint: reserved
+  ord.resize(n);   // kvcc-lint: reserved
 
-  auto& entry_offset = scratch.entry_offset;
-  entry_offset.assign(n + 1, 0);
+  // Bucket 0 starts as 0, 1, ..., n-1: vertex 0 is scanned first, and
+  // every later tie breaks the same way on every run.
   for (VertexId v = 0; v < n; ++v) {
-    entry_offset[v + 1] = entry_offset[v] + g.Degree(v);
+    next[v] = v + 1 < n ? v + 1 : kNone;
+    prev[v] = v > 0 ? v - 1 : kNone;
   }
-
-  // Positions of each adjacency entry's reverse entry, so forest edges can
-  // be retired from both endpoints in O(1).
-  auto& mate = scratch.mate;
-  mate.resize(entry_offset[n]);  // Fully overwritten below.
-  for (VertexId u = 0; u < n; ++u) {
-    const auto nbrs = g.Neighbors(u);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const VertexId v = nbrs[i];
-      // Position of u within v's sorted neighbor list.
-      const auto vn = g.Neighbors(v);
-      const auto it = std::lower_bound(vn.begin(), vn.end(), u);
-      mate[entry_offset[u] + i] =
-          entry_offset[v] + static_cast<std::uint64_t>(it - vn.begin());
+  if (n > 0) head[0] = 0;
+  auto unlink = [&](VertexId v, std::uint32_t bucket) {
+    if (prev[v] == kNone) {
+      head[bucket] = next[v];
+    } else {
+      next[prev[v]] = next[v];
     }
-  }
+    if (next[v] != kNone) prev[next[v]] = prev[v];
+  };
 
-  auto& used = scratch.used;
-  used.assign(entry_offset[n], false);
-
-  GraphBuilder& certificate_builder = scratch.builder;
-  if (n > 0) certificate_builder.EnsureVertex(n - 1);
-  auto& visited = scratch.visited;
-  visited.assign(n, false);
-  auto& queue = scratch.queue;
-  auto& last_forest = scratch.last_forest;
-
-  for (std::uint32_t round = 0; round < k; ++round) {
-    if (round > 0) std::fill(visited.begin(), visited.end(), false);
-    last_forest.clear();
-    bool any_edge = false;
-
-    for (VertexId root = 0; root < n; ++root) {
-      if (visited[root]) continue;
-      visited[root] = true;
-      queue.clear();
-      queue.push_back(root);
-      for (std::size_t head = 0; head < queue.size(); ++head) {
-        const VertexId u = queue[head];
-        // Scan u: claim one unused edge to every unvisited neighbor.
-        const auto nbrs = g.Neighbors(u);
-        for (std::size_t i = 0; i < nbrs.size(); ++i) {
-          const std::uint64_t pos = entry_offset[u] + i;
-          if (used[pos]) continue;
-          const VertexId w = nbrs[i];
-          if (visited[w]) continue;
-          visited[w] = true;
-          used[pos] = true;
-          used[mate[pos]] = true;
-          certificate_builder.AddEdge(u, w);
-          last_forest.emplace_back(u, w);
-          any_edge = true;
-          queue.push_back(w);
-        }
+  // The MA scan.
+  std::uint32_t top = 0;
+  for (std::uint32_t t = 0; t < n; ++t) {
+    while (head[top] == kNone) --top;
+    const VertexId x = head[top];
+    unlink(x, top);
+    ord[x] = t;
+    r[x] = k;  // Parks x at the cap, so the loop below skips it from now on.
+    if (tree[x] == kNone) tree[x] = x;  // No F_k parent: x roots a tree.
+    for (const VertexId y : g.Neighbors(x)) {
+      if (r[y] >= k) continue;  // Scanned, or no forest <= k left for {x, y}.
+      unlink(y, r[y]);
+      const std::uint32_t ry = ++r[y];
+      next[y] = head[ry];
+      prev[y] = kNone;
+      if (head[ry] != kNone) prev[head[ry]] = y;
+      head[ry] = y;
+      top = std::max(top, ry);
+      if (ry == k) {  // {x, y} is in F_k: x is y's parent there.
+        limit[y] = t + 1;
+        tree[y] = tree[x];
       }
     }
-    if (!any_edge) break;  // Graph exhausted before k rounds.
   }
 
-  // Side-groups: components of the k-th (= last completed) forest, found by
-  // BFS over a flat CSR of its edges. When the graph ran out of edges
-  // early, the final forest is empty and there are no groups; that is
-  // sound (groups are a pure optimization). Group ids increase with the
-  // smallest member (roots are scanned ascending and a component's first
-  // unseen vertex is its minimum), matching the nested-vector original.
-  {
-    auto& offset = scratch.forest_offset;
-    auto& adj = scratch.forest_adj;
-    offset.assign(n + 1, 0);
-    for (const auto& [u, w] : last_forest) {
-      ++offset[u + 1];
-      ++offset[w + 1];
-    }
-    for (VertexId v = 0; v < n; ++v) offset[v + 1] += offset[v];
-    adj.resize(2 * last_forest.size());
-    {
-      // Reuse the BFS queue's storage as the fill cursor; sized n below.
-      auto& cursor = scratch.queue;
-      cursor.assign(offset.begin(), offset.end() - 1);
-      for (const auto& [u, w] : last_forest) {
-        adj[cursor[u]++] = w;
-        adj[cursor[w]++] = u;
-      }
-    }
+  GraphBuilder::FilterInto(
+      g,
+      [&](VertexId u, VertexId w) {
+        return ord[u] < ord[w] ? ord[u] < limit[w] : ord[w] < limit[u];
+      },
+      out.certificate);
 
-    std::size_t num_groups = 0;
-    auto& groups = out.groups;
-    std::fill(visited.begin(), visited.end(), false);  // Reused as "seen".
-    for (VertexId root = 0; root < n; ++root) {
-      if (visited[root] || offset[root + 1] == offset[root]) continue;
-      visited[root] = true;
+  // Side-groups: the F_k trees with at least one edge, numbered in order of
+  // smallest member by one ascending pass (which also sorts each group).
+  // The bucket links are dead now; `next` holds each tree root's group id.
+  auto& group_at = next;
+  std::fill(group_at.begin(), group_at.end(), kNoGroup);
+  for (VertexId v = 0; v < n; ++v) {
+    if (tree[v] != v) group_at[tree[v]] = kUnnumbered;
+  }
+  auto& groups = out.groups;
+  out.group_of.resize(n);  // kvcc-lint: reserved
+  std::uint32_t num_groups = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    std::uint32_t& id = group_at[tree[v]];
+    if (id == kUnnumbered) {
+      id = num_groups++;
       // Recycle the inner vectors of previous builds instead of
       // reallocating one per group.
-      if (num_groups == groups.size()) groups.emplace_back();
-      std::vector<VertexId>& component = groups[num_groups];
-      component.clear();
-      component.push_back(root);
-      for (std::size_t head = 0; head < component.size(); ++head) {
-        const VertexId u = component[head];
-        for (std::uint32_t pos = offset[u]; pos < offset[u + 1]; ++pos) {
-          const VertexId w = adj[pos];
-          if (!visited[w]) {
-            visited[w] = true;
-            component.push_back(w);
-          }
-        }
-      }
-      // Forest components have >= 2 vertices by construction (an edge put
-      // the root in the CSR), so every one is a group.
-      const auto group_id = static_cast<std::uint32_t>(num_groups);
-      std::sort(component.begin(), component.end());
-      for (VertexId v : component) out.group_of[v] = group_id;
-      ++num_groups;
+      if (id == groups.size()) groups.emplace_back();  // kvcc-lint: reserved
+      groups[id].clear();
     }
-    groups.resize(num_groups);
+    out.group_of[v] = id;
+    if (id != kNoGroup) groups[id].push_back(v);  // kvcc-lint: reserved
   }
-
-  // Preserve the input graph's labels on the certificate (same vertex ids).
-  if (g.HasLabels()) certificate_builder.SetLabelsFrom(g);
-  certificate_builder.BuildInto(out.certificate);
+  groups.resize(num_groups);  // kvcc-lint: reserved
 }
 
 }  // namespace kvcc
