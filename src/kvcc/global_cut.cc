@@ -45,7 +45,9 @@ std::uint32_t CheckConnectedFromSource(const Graph& g, VertexId source,
   const VertexId n = g.NumVertices();
   EnsureMarks(scratch, n);
   // Grow-only scratch buffers: warm calls stay at high-water capacity.
-  if (scratch.order_dist.size() < n) scratch.order_dist.resize(n);  // kvcc-lint: reserved
+  if (scratch.order_dist.size() < n) {
+    scratch.order_dist.resize(n);  // kvcc-lint: reserved
+  }
   const std::uint64_t epoch = ++scratch.mark_epoch;
   std::vector<std::uint32_t>& dist = scratch.order_dist;
   std::vector<std::uint64_t>& seen = scratch.seen_mark;
@@ -133,9 +135,9 @@ void CountPrunedVertex(SweepCause cause, KvccStats* stats) {
 
 // Adaptive wavefront batch bounds: start small (distance ordering tends to
 // surface cuts within the first few probes, and every probe past a
-// committed cut is waste), grow while the observed prune rate keeps
+// found cut is waste), grow while the observed prune rate keeps
 // speculative waste low, shrink when sweeps are pruning aggressively.
-// Driven purely by committed (deterministic) outcomes, so the batch-size
+// Driven purely by the loop's (deterministic) outcomes, so the batch-size
 // trajectory — and with it every probe-waste counter — is a pure function
 // of (input, options), independent of thread count or timing.
 constexpr std::uint32_t kBatchInit = 4;
@@ -193,8 +195,8 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
   assert(n > k);
   assert(hints.empty() || hints.size() == n);
 
-  // Cooperative cancellation: polled at entry, before every serial flow
-  // probe, and at every wavefront-batch formation — the boundaries that
+  // Cooperative cancellation: polled at entry, before every inline flow
+  // probe, and at every wavefront formation — the boundaries that
   // bound time-to-unwind by one probe / one batch. The thrown JobCancelled
   // carries no stats; the enumeration driver attaches the job's partial
   // counters when it surfaces the outcome.
@@ -262,20 +264,19 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
   if (source == kInvalidVertex) source = test_graph.MinDegreeVertex();
   const bool source_is_strong = options.neighbor_sweep && strong[source];
 
-  // Wavefront engagement, decided up front (see the machinery comment
+  // Wavefront engagement, decided up front (see the lookahead comment
   // below). The vertex floor keeps small subproblems — which the
-  // subproblem level already parallelizes — on the exact serial loop,
-  // where speculation cannot pay for itself.
+  // subproblem level already parallelizes — probing inline, where
+  // speculation cannot pay for itself.
   const bool wavefronts = scheduler != nullptr &&
                           scheduler->num_workers() > 1 &&
-                          options.intra_cut_parallelism &&
                           (options.intra_cut_min_vertices == 0 ||
                            n >= options.intra_cut_min_vertices);
   // Probe engine (KvccOptions::cut_oracle): created lazily, replaced only
-  // when the option changes between jobs sharing this scratch. Bound in
-  // both modes — serial probes run on it directly, and in wavefront mode
-  // it is the topology owner every pool slot incrementally rebinds to
-  // (one O(m) build per invocation instead of one per slot).
+  // when the option changes between jobs sharing this scratch. Inline
+  // probes run on it directly; with wavefronts it is the topology owner
+  // every pool slot incrementally rebinds to (one O(m) build per
+  // invocation instead of one per slot).
   if (!scratch->oracle || scratch->oracle->kind() != options.cut_oracle) {
     scratch->oracle = MakeCutOracle(options.cut_oracle);
   }
@@ -319,17 +320,25 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
     }
   }
 
-  // --- intra-cut wavefront machinery ---
-  // Engagement depends only on (options, scheduler shape), never on runtime
-  // load: whether a wavefront's probes actually execute on several workers
-  // is the scheduler's starvation-gated call, but the wavefront *structure*
-  // — which probes launch, in which batches — is a pure function of the
-  // input, so the probe-waste counters (and everything else) reproduce
-  // exactly across runs and thread counts.
+  // --- probe lookahead ---
+  // Each phase below is one serial loop; the lookahead only decides where
+  // the loop's flow-probe results come from. Without wavefronts the loop
+  // probes inline on the scratch oracle. With them, a probe the current
+  // wave did not launch forms the next wave: starting at that probe, the
+  // loop's own skip rules, read against the live sweep state, list the
+  // next `batch` probes the loop can still reach; they run concurrently on
+  // the pool and the loop consumes their results in order. Sweeps only
+  // grow, so every probe the loop still needs inside a wave was launched
+  // by it. A launched probe the loop finds swept, or never reaches because
+  // a cut ended the search, is waste (KvccStats::probes_wasted_*).
+  // Engagement depends only on (options, scheduler shape, n) and the batch
+  // trajectory only on consumed outcomes, so the wave structure — and with
+  // it every counter — is a pure function of the input for a given thread
+  // count, whatever the pool's actual load.
   std::uint32_t batch =
       options.probe_batch_size != 0 ? options.probe_batch_size : kBatchInit;
   const bool adaptive_batch = options.probe_batch_size == 0;
-  auto adapt = [&](std::uint32_t launched, std::uint32_t wasted) {
+  auto adapt = [&](std::size_t launched, std::uint32_t wasted) {
     if (!adaptive_batch || launched == 0) return;
     if (wasted * 4 >= launched) {
       batch = std::max(kBatchMin, batch / 2);  // > 25% waste: back off.
@@ -338,24 +347,23 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
     }
   };
 
-  // Runs the current wavefront's probe list concurrently and returns how
-  // many *flow* probes actually ran (deferred-common entries settled by
-  // the Lemma-13 test never touch an oracle). Each executor slot owns one
+  // Runs the current wave concurrently, each pair first through the
+  // Lemma-13 test when `common_test` is set. Each executor slot owns one
   // pool oracle, incrementally rebound (CutOracle::BindShared — adopt the
   // owner's arc arrays, restamp capacities by epoch) to this invocation's
   // topology owner the first time the slot participates; a probe writes
   // only its own wave_cuts / wave_common_skip / wave_traces entries, and
-  // the commit loop below reads the results only after ParallelFor
-  // returned, so probes race with nothing. The sweep state is
-  // snapshot-immutable during the wavefront: formation read it serially,
-  // and commits mutate it serially afterwards.
-  auto run_probes = [&]() -> std::uint32_t {
+  // the loop reads them only after ParallelFor returned, so probes race
+  // with nothing. The sweep state is immutable during the wave: formation
+  // read it serially, and the loop mutates it serially afterwards.
+  auto run_probes = [&](bool common_test) {
     const auto& args = scratch->wave_probe_args;
     const std::uint32_t launched = static_cast<std::uint32_t>(args.size());
-    if (launched == 0) return 0;
     const unsigned slots = scheduler->num_workers() + 1;
     if (scratch->probe_pool.size() < slots) scratch->probe_pool.resize(slots);
-    if (scratch->wave_cuts.size() < launched) scratch->wave_cuts.resize(launched);
+    if (scratch->wave_cuts.size() < launched) {
+      scratch->wave_cuts.resize(launched);
+    }
     if (scratch->wave_common_skip.size() < launched) {
       scratch->wave_common_skip.resize(launched);
     }
@@ -367,7 +375,6 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
     auto& cuts = scratch->wave_cuts;
     auto& common_skip = scratch->wave_common_skip;
     auto& traces = scratch->wave_traces;
-    const auto& deferred = scratch->wave_probe_common;
     const std::uint64_t epoch = scratch->probe_epoch;
     const CutOracle& owner = oracle;
     const CutOracleKind oracle_kind = options.cut_oracle;
@@ -377,8 +384,8 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
     // priority instead of degrading to kNormal on its hardest subproblem.
     scheduler->ParallelFor(
         launched,
-        [&pool, &cuts, &common_skip, &traces, &args, &deferred, &owner,
-         &host, epoch, oracle_kind, k](std::size_t i, unsigned slot) {
+        [&pool, &cuts, &common_skip, &traces, &args, &owner, &host, epoch,
+         oracle_kind, common_test, k](std::size_t i, unsigned slot) {
           if (!pool[slot]) pool[slot] = std::make_unique<ProbeOracle>();
           ProbeOracle& po = *pool[slot];
           if (!po.oracle || po.oracle->kind() != oracle_kind) {
@@ -390,11 +397,11 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
             po.bound_epoch = epoch;
           }
           traces[i] = ProbeCounters{};
-          // Lemma-13 pre-test, hoisted out of the serial formation loop: a
-          // pure function of the working graph, so evaluating it here is
-          // replay-equivalent while parallelizing the Theta(d) merges that
-          // dominate pair formation on hub-heavy sources.
-          if (deferred[i] != 0 &&
+          // Lemma-13 pre-test, evaluated in the wave rather than by the
+          // loop: a pure function of the working graph, so the verdict is
+          // the loop's own, while the Theta(d) merges that dominate pair
+          // tests on hub-heavy sources run in parallel.
+          if (common_test &&
               CommonNeighborsAtLeast(host, args[i].first, args[i].second,
                                      k)) {
             common_skip[i] = 1;
@@ -409,111 +416,98 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
     // Serial roll-up over every launched probe — speculative ones
     // included, their flow work is real — keeps the oracle counters
     // deterministic for a fixed (input, options, thread count).
-    std::uint32_t flow_probes = 0;
     for (std::uint32_t i = 0; i < launched; ++i) {
-      if (common_skip[i] == 0) ++flow_probes;
+      if (common_skip[i] == 0) ++stats->probes_launched;
       AccumulateProbe(traces[i], stats);
     }
-    stats->probes_launched += flow_probes;
-    return flow_probes;
+  };
+
+  auto& wave_args = scratch->wave_probe_args;
+  wave_args.clear();
+  std::size_t next = 0;            // First wave entry the loop has not used.
+  std::uint32_t wasted_swept = 0;  // Wave entries the loop found swept.
+  // True iff (a, b) is the current wave's next launched probe.
+  auto launched = [&](VertexId a, VertexId b) {
+    return next < wave_args.size() && wave_args[next] == std::pair(a, b);
+  };
+  // Retires the current wave: flow probes the loop never reached (a cut
+  // ended the search) and those it found swept are its waste; the batch
+  // adapts to the swept share.
+  auto retire_wave = [&]() {
+    for (; next < wave_args.size(); ++next) {
+      if (scratch->wave_common_skip[next] == 0) {
+        ++stats->probes_wasted_after_cut;
+      }
+    }
+    stats->probes_wasted_swept += wasted_swept;
+    adapt(wave_args.size(), wasted_swept);
+    wave_args.clear();
+    next = 0;
+    wasted_swept = 0;
+  };
+  // The loop's flow probe of (a, b): the cut found (empty when a and b are
+  // locally k-connected), or nullptr when the Lemma-13 test settled the
+  // pair first (`common_test`). `form` lists the next wave from (a, b) on.
+  std::vector<VertexId> inline_cut;
+  auto probe = [&](VertexId a, VertexId b, bool common_test,
+                   const auto& form) -> std::vector<VertexId>* {
+    if (!wavefronts) {
+      if (common_test && CommonNeighborsAtLeast(g, a, b, k)) return nullptr;
+      check_cancelled();
+      ProbeCounters trace;
+      inline_cut = oracle.Probe(a, b, k, trace);
+      AccumulateProbe(trace, stats);
+      return &inline_cut;
+    }
+    if (!launched(a, b)) {
+      // A new wave forms only once the last one is used up (see above).
+      assert(next == wave_args.size());
+      retire_wave();
+      check_cancelled();
+      form();
+      run_probes(common_test);
+    }
+    const std::size_t i = next++;
+    if (scratch->wave_common_skip[i] != 0) return nullptr;
+    return &scratch->wave_cuts[i];
   };
 
   // --- phase 1 (Alg. 3 lines 8-15): covers every cut avoiding the source ---
-  if (!wavefronts) {
-    for (VertexId v : scratch->order) {
-      if (sweep.IsSwept(v)) {
-        CountPrunedVertex(sweep.CauseOf(v), stats);
-        continue;
+  const std::vector<VertexId>& order = scratch->order;
+  for (std::size_t p = 0; p < order.size(); ++p) {
+    const VertexId v = order[p];
+    if (sweep.IsSwept(v)) {
+      CountPrunedVertex(sweep.CauseOf(v), stats);
+      if (launched(source, v)) {  // Swept after its wave launched it.
+        ++next;
+        ++wasted_swept;
       }
-      if (g.HasEdge(source, v)) {
-        // Lemma 5: adjacent vertices are locally k-connected for free.
-        ++stats->phase1_tested_trivial;
-        sweep.Sweep(v, SweepCause::kTested);
-        continue;
-      }
-      check_cancelled();
-      ++stats->phase1_tested_flow;
-      ++stats->loc_cut_flow_calls;
-      ProbeCounters trace;
-      std::vector<VertexId> cut = oracle.Probe(source, v, k, trace);
-      AccumulateProbe(trace, stats);
-      if (!cut.empty()) return finish_with_cut(std::move(cut));
+      continue;
+    }
+    if (g.HasEdge(source, v)) {
+      // Lemma 5: adjacent vertices are locally k-connected for free.
+      ++stats->phase1_tested_trivial;
       sweep.Sweep(v, SweepCause::kTested);
+      continue;
     }
-  } else {
-    const std::vector<VertexId>& order = scratch->order;
-    std::size_t pos = 0;
-    while (pos < order.size()) {
-      check_cancelled();
-      // Formation (serial): classify vertices from the current position
-      // until `batch` probes are collected. The sweep snapshot is the live
-      // state — no commit of this wavefront has happened yet, so anything
-      // unswept here is exactly what the serial loop could still reach.
-      std::vector<ProbeCandidate>& wave = scratch->wave;
-      auto& args = scratch->wave_probe_args;
-      wave.clear();
-      args.clear();
-      scratch->wave_probe_common.clear();
-      std::size_t end = pos;
-      while (end < order.size() && args.size() < batch) {
-        const VertexId v = order[end];
-        ProbeCandidate cand;
-        cand.a = v;
-        if (sweep.IsSwept(v)) {
-          cand.kind = ProbeCandidate::Kind::kSwept;
-        } else if (g.HasEdge(source, v)) {
-          cand.kind = ProbeCandidate::Kind::kAdjacent;
-        } else {
-          cand.kind = ProbeCandidate::Kind::kProbe;
-          cand.probe_index = static_cast<std::uint32_t>(args.size());
-          args.emplace_back(source, v);
-          scratch->wave_probe_common.push_back(0);
+    std::vector<VertexId>* cut = probe(source, v, false, [&] {
+      for (std::size_t q = p; q < order.size() && wave_args.size() < batch;
+           ++q) {
+        const VertexId u = order[q];
+        if (!sweep.IsSwept(u) && !g.HasEdge(source, u)) {
+          wave_args.emplace_back(source, u);
         }
-        wave.push_back(cand);
-        ++end;
       }
-      const std::uint32_t launched = static_cast<std::uint32_t>(args.size());
-      run_probes();
-
-      // Commit (serial replay): walk the slice in order, re-deriving every
-      // serial decision against the *live* sweep state. A probe whose
-      // vertex got swept by an earlier commit in this very wavefront is
-      // discarded (the serial loop never ran it) and counted as waste.
-      std::uint32_t used = 0;
-      std::uint32_t wasted_swept = 0;
-      for (const ProbeCandidate& cand : wave) {
-        const VertexId v = cand.a;
-        if (sweep.IsSwept(v)) {
-          CountPrunedVertex(sweep.CauseOf(v), stats);
-          if (cand.kind == ProbeCandidate::Kind::kProbe) ++wasted_swept;
-          continue;
-        }
-        if (cand.kind == ProbeCandidate::Kind::kAdjacent) {
-          ++stats->phase1_tested_trivial;
-          sweep.Sweep(v, SweepCause::kTested);
-          continue;
-        }
-        // Unswept and non-adjacent: formation necessarily probed it
-        // (sweeps only grow between formation and commit).
-        assert(cand.kind == ProbeCandidate::Kind::kProbe);
-        ++stats->phase1_tested_flow;
-        ++stats->loc_cut_flow_calls;
-        ++used;
-        std::vector<VertexId>& cut = scratch->wave_cuts[cand.probe_index];
-        if (!cut.empty()) {
-          // Earliest-in-order cut wins; everything the serial loop would
-          // not have reached is pure waste.
-          stats->probes_wasted_swept += wasted_swept;
-          stats->probes_wasted_after_cut += launched - used - wasted_swept;
-          return finish_with_cut(std::move(cut));
-        }
-        sweep.Sweep(v, SweepCause::kTested);
-      }
-      stats->probes_wasted_swept += wasted_swept;
-      adapt(launched, wasted_swept);
-      pos = end;
+    });
+    ++stats->phase1_tested_flow;
+    ++stats->loc_cut_flow_calls;
+    if (!cut->empty()) {
+      retire_wave();
+      return finish_with_cut(std::move(*cut));
     }
+    sweep.Sweep(v, SweepCause::kTested);
   }
+  retire_wave();
 
   // --- phase 2 (Alg. 3 lines 16-21): covers cuts containing the source ---
   // A strong side-vertex source is in no minimum cut; skip entirely.
@@ -523,119 +517,45 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
     // Restart the adaptive ramp: a batch grown across a cut-free phase 1
     // would otherwise turn an early phase-2 cut into a full-batch write-off.
     if (adaptive_batch) batch = kBatchInit;
-    if (!wavefronts) {
-      for (std::size_t i = 0; i < deg; ++i) {
-        for (std::size_t j = i + 1; j < deg; ++j) {
-          const VertexId va = nbrs[i];
-          const VertexId vb = nbrs[j];
-          if (group_sweep && group_of[va] != kNoGroup &&
-              group_of[va] == group_of[vb]) {
-            // Group sweep rule 3: same side-group => locally k-connected.
-            ++stats->phase2_pairs_skipped_group;
-            continue;
-          }
-          if (g.HasEdge(va, vb)) {
-            ++stats->phase2_pairs_skipped_adjacent;  // Lemma 5.
-            continue;
-          }
-          if (options.phase2_common_neighbor_skip &&
-              CommonNeighborsAtLeast(g, va, vb, k)) {
-            ++stats->phase2_pairs_skipped_common;  // Lemma 13.
-            continue;
-          }
-          check_cancelled();
-          ++stats->phase2_pairs_tested;
-          ++stats->loc_cut_flow_calls;
-          ProbeCounters trace;
-          std::vector<VertexId> cut = oracle.Probe(va, vb, k, trace);
-          AccumulateProbe(trace, stats);
-          if (!cut.empty()) return finish_with_cut(std::move(cut));
-        }
+    const bool common_test = options.phase2_common_neighbor_skip;
+    // Group sweep rule 3 and Lemma 5 settle a pair without a probe; returns
+    // the counter of the rule that did, or nullptr.
+    auto pair_skip = [&](VertexId va, VertexId vb) -> std::uint64_t* {
+      if (group_sweep && group_of[va] != kNoGroup &&
+          group_of[va] == group_of[vb]) {
+        return &stats->phase2_pairs_skipped_group;
       }
-    } else {
-      // Pair wavefronts. The group and adjacency skip predicates are pure
-      // functions of the graphs (no sweep state), so formation classifies
-      // exactly as the serial loop would. The common-neighbor test (Lemma
-      // 13) — also pure, but Theta(d) per pair and the dominant formation
-      // cost on hub-heavy sources — is *deferred into the wavefront*: the
-      // pair is launched as kProbeDeferred and the parallel body either
-      // settles it via the common test (wave_common_skip) or runs the
-      // flow probe. The commit replay keeps the skip counters honest —
-      // pairs past a committed cut are never counted.
-      std::size_t pi = 0;
-      std::size_t pj = 1;
-      while (pi + 1 < deg) {
-        check_cancelled();
-        std::vector<ProbeCandidate>& wave = scratch->wave;
-        auto& args = scratch->wave_probe_args;
-        wave.clear();
-        args.clear();
-        scratch->wave_probe_common.clear();
-        while (pi + 1 < deg && args.size() < batch) {
-          const VertexId va = nbrs[pi];
-          const VertexId vb = nbrs[pj];
-          ProbeCandidate cand;
-          cand.a = va;
-          cand.b = vb;
-          if (group_sweep && group_of[va] != kNoGroup &&
-              group_of[va] == group_of[vb]) {
-            cand.kind = ProbeCandidate::Kind::kPairGroupSkip;
-          } else if (g.HasEdge(va, vb)) {
-            cand.kind = ProbeCandidate::Kind::kPairAdjacent;
-          } else {
-            cand.kind = options.phase2_common_neighbor_skip
-                            ? ProbeCandidate::Kind::kProbeDeferred
-                            : ProbeCandidate::Kind::kProbe;
-            cand.probe_index = static_cast<std::uint32_t>(args.size());
-            args.emplace_back(va, vb);
-            scratch->wave_probe_common.push_back(
-                options.phase2_common_neighbor_skip ? 1 : 0);
-          }
-          wave.push_back(cand);
-          ++pj;
-          if (pj >= deg) {
-            ++pi;
-            pj = pi + 1;
-          }
+      if (g.HasEdge(va, vb)) return &stats->phase2_pairs_skipped_adjacent;
+      return nullptr;
+    };
+    for (std::size_t i = 0; i < deg; ++i) {
+      for (std::size_t j = i + 1; j < deg; ++j) {
+        if (std::uint64_t* skipped = pair_skip(nbrs[i], nbrs[j])) {
+          ++*skipped;
+          continue;
         }
-        const std::uint32_t launched = static_cast<std::uint32_t>(args.size());
-        const std::uint32_t flow_launched = run_probes();
-
-        std::uint32_t used = 0;
-        for (const ProbeCandidate& cand : wave) {
-          switch (cand.kind) {
-            case ProbeCandidate::Kind::kPairGroupSkip:
-              ++stats->phase2_pairs_skipped_group;
-              break;
-            case ProbeCandidate::Kind::kPairAdjacent:
-              ++stats->phase2_pairs_skipped_adjacent;
-              break;
-            case ProbeCandidate::Kind::kProbeDeferred:
-              if (scratch->wave_common_skip[cand.probe_index] != 0) {
-                // The wavefront's Lemma-13 test settled the pair — same
-                // verdict, same counter as the serial loop's inline test.
-                ++stats->phase2_pairs_skipped_common;
-                break;
-              }
-              [[fallthrough]];
-            case ProbeCandidate::Kind::kProbe: {
-              ++stats->phase2_pairs_tested;
-              ++stats->loc_cut_flow_calls;
-              ++used;
-              std::vector<VertexId>& cut =
-                  scratch->wave_cuts[cand.probe_index];
-              if (!cut.empty()) {
-                stats->probes_wasted_after_cut += flow_launched - used;
-                return finish_with_cut(std::move(cut));
-              }
-              break;
+        std::vector<VertexId>* cut = probe(nbrs[i], nbrs[j], common_test, [&] {
+          for (std::size_t a = i, b = j;
+               a + 1 < deg && wave_args.size() < batch;) {
+            if (pair_skip(nbrs[a], nbrs[b]) == nullptr) {
+              wave_args.emplace_back(nbrs[a], nbrs[b]);
             }
-            case ProbeCandidate::Kind::kSwept:
-            case ProbeCandidate::Kind::kAdjacent:
-              break;  // Phase-1 kinds; unreachable here.
+            if (++b == deg) {
+              ++a;
+              b = a + 1;
+            }
           }
+        });
+        if (cut == nullptr) {
+          ++stats->phase2_pairs_skipped_common;  // Lemma 13.
+          continue;
         }
-        adapt(launched, 0);
+        ++stats->phase2_pairs_tested;
+        ++stats->loc_cut_flow_calls;
+        if (!cut->empty()) {
+          retire_wave();
+          return finish_with_cut(std::move(*cut));
+        }
       }
     }
   }

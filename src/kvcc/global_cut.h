@@ -13,17 +13,17 @@
 // engine is exact, so the cut (and all replay-identical stats) are
 // byte-identical across engines; see cut_oracle.h.
 //
-// Intra-cut parallelism: when a multi-worker TaskScheduler is passed in,
-// both phases run as *deterministic probe wavefronts* — the next batch of
-// flow probes executes concurrently on the pool (each participant on its
-// own oracle, incrementally rebound to the invocation's shared topology
-// owner), then the batch is committed serially in the exact order the
-// serial loop would have used. The phase-2 common-neighbor test (Lemma 13,
-// a pure function) also runs inside the wavefront instead of the serial
-// formation loop, so hub-heavy pair formation no longer serializes on it.
-// Sweeps, all pre-existing stats, and the returned cut are byte-identical
-// to the serial loop for every thread count and batch size; speculative
-// probes a serial run would have skipped are bounded by an adaptive batch
+// Intra-cut parallelism: each phase is one serial loop. When a
+// multi-worker TaskScheduler is passed in, a lookahead on that loop runs
+// its flow probes as *deterministic probe wavefronts*: the next batch of
+// probes the loop can still reach executes concurrently on the pool (each
+// participant on its own oracle, incrementally rebound to the invocation's
+// shared topology owner), and the loop consumes the results in order. The
+// phase-2 common-neighbor test (Lemma 13, a pure function) runs inside the
+// wavefront too, so hub-heavy pair tests do not serialize on it. Sweeps,
+// all replay-identical stats, and the returned cut are byte-identical to
+// a run without a scheduler for every thread count and batch size;
+// speculative probes the loop then skips are bounded by an adaptive batch
 // size and surfaced in KvccStats::probes_wasted_*.
 #ifndef KVCC_KVCC_GLOBAL_CUT_H_
 #define KVCC_KVCC_GLOBAL_CUT_H_
@@ -61,25 +61,6 @@ struct ProbeOracle {
   std::uint64_t bound_epoch = 0;
 };
 
-/// One entry of a wavefront: a phase-1 vertex or phase-2 pair together with
-/// the classification the serial loop's replay needs at commit time.
-struct ProbeCandidate {
-  enum class Kind : std::uint8_t {
-    kSwept,           // phase 1: already swept at formation time
-    kAdjacent,        // phase 1: adjacent to the source (Lemma 5)
-    kPairGroupSkip,   // phase 2: same side-group (group sweep rule 3)
-    kPairAdjacent,    // phase 2: adjacent pair (Lemma 5)
-    kProbe,           // flow probe launched; result in wave_cuts[probe_index]
-    kProbeDeferred,   // phase 2: launched with the common-neighbor test
-                      // (Lemma 13) evaluated inside the wavefront; commit
-                      // consults wave_common_skip[probe_index] first
-  };
-  VertexId a = 0;  // phase 1: the vertex; phase 2: first endpoint
-  VertexId b = 0;  // phase 2: second endpoint
-  Kind kind = Kind::kProbe;
-  std::uint32_t probe_index = 0;  // valid iff kind == kProbe
-};
-
 /// Reusable per-caller state for GlobalCut. The enumeration engine keeps one
 /// instance per worker thread so that the flow network, the sparse
 /// certificate (storage and working buffers), the side-vertex detection
@@ -94,7 +75,7 @@ struct ProbeCandidate {
 struct GlobalCutScratch {
   /// Probe engine (KvccOptions::cut_oracle); created lazily, recreated
   /// only when the option changes, rebound (buffers recycled) per
-  /// invocation. Serial probes run here; in wavefront mode this instance
+  /// invocation. Inline probes run here; with wavefronts this instance
   /// is the *topology owner* the pool below incrementally rebinds to, and
   /// is never probed while a wavefront is in flight.
   std::unique_ptr<CutOracle> oracle;
@@ -134,13 +115,11 @@ struct GlobalCutScratch {
   /// One oracle per executor slot (scheduler workers + 1 external slot).
   /// Grown once per scratch lifetime; entries are created on first use.
   std::vector<std::unique_ptr<ProbeOracle>> probe_pool;
-  /// Current wavefront: candidates in serial order, probe argument list
-  /// (indexed by ProbeCandidate::probe_index), and per launched probe one
-  /// deferred-common flag (input), one cut slot, one common-skip verdict,
-  /// and one work trace (outputs; disjoint writes across the wavefront).
-  std::vector<ProbeCandidate> wave;
+  /// Current wavefront, one entry per launched probe in the loop's order:
+  /// the probe's vertex pair (input), and its cut slot, common-skip
+  /// verdict and work trace (outputs; disjoint writes across the
+  /// wavefront).
   std::vector<std::pair<VertexId, VertexId>> wave_probe_args;
-  std::vector<std::uint8_t> wave_probe_common;
   std::vector<std::vector<VertexId>> wave_cuts;
   std::vector<std::uint8_t> wave_common_skip;
   std::vector<ProbeCounters> wave_traces;
@@ -165,16 +144,17 @@ struct GlobalCutResult {
 /// (checked in every build mode, not assert-only). `hints` is either empty
 /// or one entry per vertex of g. `scratch` may be nullptr (a transient
 /// scratch is used); pass a live one to amortize allocations across
-/// repeated calls. `scheduler` may be nullptr (fully serial search); with a
-/// multi-worker scheduler and options.intra_cut_parallelism, flow probes
-/// run as parallel wavefronts (see file comment) with identical output.
+/// repeated calls. `scheduler` may be nullptr (every probe runs inline);
+/// with a multi-worker scheduler and at least
+/// options.intra_cut_min_vertices vertices, flow probes run as parallel
+/// wavefronts (see file comment) with identical output.
 /// `cancel` may be nullptr (uncancellable); with a token, the search polls
-/// it at entry, before every serial flow probe, and at every
-/// wavefront-batch formation, and unwinds by throwing JobCancelled (with
-/// empty stats — the driver attaches the job's partials) the first time it
-/// observes cancellation, after bumping KvccStats::cuts_cancelled. Time to
-/// unwind is therefore bounded by one probe (serial) or one batch
-/// (wavefronts), never by the remaining search space.
+/// it at entry, before every inline flow probe, and at every wavefront
+/// formation, and unwinds by throwing JobCancelled (with empty stats — the
+/// driver attaches the job's partials) the first time it observes
+/// cancellation, after bumping KvccStats::cuts_cancelled. Time to unwind
+/// is therefore bounded by one probe (inline) or one batch (wavefronts),
+/// never by the remaining search space.
 GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
                           const std::vector<SideVertexHint>& hints,
                           const KvccOptions& options, KvccStats* stats,

@@ -130,33 +130,26 @@ struct KvccOptions {
   /// wall-clock knob.
   std::uint32_t num_threads = 1;
 
-  /// \brief Parallelize the probes *inside* one GLOBAL-CUT call
-  /// (deterministic wavefronts over phase-1 vertices / phase-2 pairs)
-  /// when the run has a multi-worker scheduler. This is what lets a
-  /// recursion tree that is too shallow to feed the pool — e.g. one giant
-  /// k-connected component — still scale with cores. The returned cut,
-  /// the components, and every pre-existing stats counter are
-  /// byte-identical to the serial loop for any thread count or batch
-  /// size; the only observable difference is the probe-waste diagnostics
-  /// in KvccStats (a serial run launches no speculative probes). Engages
-  /// only on workers>1 engine runs; serial EnumerateKVccs
-  /// (num_threads = 1) never batches.
-  bool intra_cut_parallelism = true;
-
-  /// \brief Probes per intra-cut wavefront. 0 (default) adapts the batch
-  /// to the observed prune rate: it grows while little of the batch turns
-  /// out to have been swept by earlier commits (bounded waste) and
-  /// shrinks when sweeps are pruning aggressively. A nonzero value pins
-  /// the batch size — results are identical either way; only probe waste
-  /// and parallel saturation change.
+  /// \brief Probes per intra-cut wavefront. On runs with a multi-worker
+  /// scheduler, GLOBAL-CUT launches the next batch of flow probes its
+  /// loop can still reach concurrently and consumes the results in order
+  /// (see kvcc/global_cut.h), which lets a recursion tree too shallow to
+  /// feed the pool — e.g. one giant k-connected component — still scale
+  /// with cores. 0 (default) adapts the batch to the observed prune rate:
+  /// it grows while little of the batch turns out to have been swept
+  /// before the loop reached it (bounded waste) and shrinks when sweeps
+  /// are pruning aggressively. A nonzero value pins the batch size. The
+  /// cut, the components and every replay-identical stats counter are
+  /// the same either way, and the same as a run without a scheduler;
+  /// only the probe-waste diagnostics and parallel saturation change.
   std::uint32_t probe_batch_size = 0;
 
   /// \brief Wavefronts engage only on working graphs with at least this
   /// many vertices (0 = no floor). Small subproblems — the recursion tail
   /// of a bushy tree, which already feeds the pool through subproblem
   /// parallelism — cannot amortize the per-slot oracle binds and the
-  /// speculative probes, so they stay on the exact serial loop. The floor
-  /// is a pure function of the input graph, preserving reproducibility.
+  /// speculative probes, so they probe inline. The floor is a pure
+  /// function of the input graph, preserving reproducibility.
   std::uint32_t intra_cut_min_vertices = 128;
 
   /// \brief Streaming delivery only (KvccEngine::SubmitStreaming /

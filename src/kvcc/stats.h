@@ -109,23 +109,23 @@ struct KvccStats {
 
   // --- intra-GLOBAL-CUT wavefront diagnostics ---
   // A wavefront speculatively probes the next batch of phase-1 vertices /
-  // phase-2 pairs concurrently and then commits serially, so some probes
-  // are redundant: the serial loop would have pruned the vertex (an earlier
-  // commit swept it) or stopped before the pair (an earlier probe found the
-  // cut). These counters quantify that waste; they stay 0 on serial runs
-  // and are the only stats fields that differ between a serial and an
-  // intra-cut-parallel run of the same input (everything above is replay-
-  // identical by construction).
+  // phase-2 pairs concurrently, and the GLOBAL-CUT loop then consumes the
+  // results in its own order, so some probes are redundant: the loop
+  // pruned the vertex (a sweep reached it after launch) or stopped before
+  // the pair (an earlier probe found the cut). These counters quantify
+  // that waste; they stay 0 on runs without wavefronts and are the only
+  // stats fields that differ between such a run and an intra-cut-parallel
+  // run of the same input (everything above is replay-identical by
+  // construction).
 
   /// \brief Wavefront batches formed across all GLOBAL-CUT calls.
   std::uint64_t probe_wavefronts = 0;
   /// \brief Speculative flow probes launched inside wavefronts.
   std::uint64_t probes_launched = 0;
-  /// \brief Probes whose vertex was swept between launch and its serial
-  /// commit.
+  /// \brief Probes whose vertex was swept between launch and the loop
+  /// reaching it.
   std::uint64_t probes_wasted_swept = 0;
-  /// \brief Probes past the point where the committed cut ended the
-  /// search.
+  /// \brief Probes past the point where a found cut ended the search.
   std::uint64_t probes_wasted_after_cut = 0;
 
   // --- cut-oracle routing / work profile ---

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <ctime>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -23,6 +24,7 @@
 
 #include "gen/fixtures.h"
 #include "gen/planted_vcc.h"
+#include "graph/graph_builder.h"
 #include "kvcc/hierarchy.h"
 #include "kvcc/job_control.h"
 #include "kvcc/kvcc_enum.h"
@@ -699,46 +701,65 @@ TEST(KvccEngineJobControlTest, DeadlineCancelsSerialEnumeration) {
   EXPECT_THROW(std::rethrow_exception(sink.error), JobCancelled);
 }
 
-TEST(KvccEngineJobControlTest, AbandonedStreamReclaimsWorkersPromptly) {
-  // ROADMAP gap closed by this PR: abandoning a ResultStream used to let
-  // the job run to completion. Now abandonment fires the job's cancel
-  // token, so tearing the engine down right after an early abandon must
-  // take a small fraction of the job's full runtime — the workers return
-  // at the next task / probe boundary instead of draining the recursion.
-  const PlantedVccGraph planted = MakeCancellationWorkload(37);
+/// CPU time consumed by every thread of this process so far, in ms. Time
+/// a thread spends descheduled does not count, so differences measure
+/// work done rather than wall-clock.
+double ProcessCpuMillis() {
+  return 1e3 * static_cast<double>(std::clock()) / CLOCKS_PER_SEC;
+}
 
-  double full_ms = 0;
+TEST(KvccEngineJobControlTest, AbandonedStreamReclaimsWorkersPromptly) {
+  // Abandoning a ResultStream fires the job's cancel token, so the
+  // workers return at the next task / probe boundary instead of draining
+  // the recursion. The job is parked before the abandon: a one-worker
+  // engine with a one-component channel blocks its only worker on the
+  // second delivery. The two K10s (quick 9-VCCs) fill those deliveries,
+  // so the whole planted chain is still outstanding. The verdict is on
+  // work done — process CPU time, which scheduler noise does not inflate
+  // — rather than on two short wall-clock runs.
+  const PlantedVccGraph chain = MakeCancellationWorkload(37);
+  GraphBuilder builder;
+  for (const auto& [u, v] : chain.graph.Edges()) builder.AddEdge(u, v);
+  const VertexId base = chain.graph.NumVertices();
+  for (VertexId clique = 0; clique < 2; ++clique) {
+    for (VertexId i = 0; i < 10; ++i) {
+      for (VertexId j = i + 1; j < 10; ++j) {
+        builder.AddEdge(base + 10 * clique + i, base + 10 * clique + j);
+      }
+    }
+  }
+  const Graph g = builder.Build();
+
+  double full_cpu_ms = ProcessCpuMillis();
   {
-    KvccEngine engine(2);
-    Timer timer;
-    ResultStream stream = engine.SubmitStream(planted.graph, 9);
+    KvccEngine engine(1);
+    ResultStream stream = engine.SubmitStream(g, 9);
     std::size_t count = 0;
     while (stream.Next().has_value()) ++count;
-    full_ms = timer.ElapsedMillis();
-    ASSERT_GT(count, 1u);
+    ASSERT_EQ(count, chain.blocks.size() + 2);
   }
+  full_cpu_ms = ProcessCpuMillis() - full_cpu_ms;
 
-  Timer timer;
+  double abandoned_cpu_ms = 0;
   {
-    KvccEngine engine(2);
-    std::optional<ResultStream> stream =
-        engine.SubmitStream(planted.graph, 9);
-    ASSERT_TRUE(stream->Next().has_value());  // Provably mid-flight.
-    timer.Restart();  // Measure abandon -> engine fully drained.
-    stream.reset();   // Abandon: fires the job's cancel token.
-    // Engine destructor joins the workers here; with cancellation that
-    // is bounded by one in-flight probe batch, not the remaining
-    // recursion.
-  }
-  const double abandoned_ms = timer.ElapsedMillis();
-  // After one component of an 8-block workload, nearly the whole tree is
-  // still outstanding; a full drain would cost close to full_ms. The
-  // bounded-wall-clock assertion: reclamation costs at most half of it
-  // (in practice a few milliseconds; the slack absorbs sanitizer and CI
-  // noise, which scales both sides alike).
-  EXPECT_LT(abandoned_ms, full_ms * 0.5)
+    KvccEngine engine(1);
+    KvccOptions options;
+    options.stream_buffer_limit = 1;
+    std::optional<ResultStream> stream = engine.SubmitStream(g, 9, options);
+    // The live counter turns nonzero once the worker is parked.
+    while (stream->BackpressureBlocks() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    abandoned_cpu_ms = ProcessCpuMillis();
+    stream.reset();  // Abandon: fires the job's cancel token, then joins.
+  }  // The engine destructor joins the (now idle) worker.
+  abandoned_cpu_ms = ProcessCpuMillis() - abandoned_cpu_ms;
+  // Cancelled, the remaining work is one probe plus the drain of
+  // short-circuited tasks (a few percent of the full run); drained, it is
+  // nearly the whole chain (over 80% of the full run).
+  EXPECT_LT(abandoned_cpu_ms, full_cpu_ms * 0.5)
       << "abandonment drained the recursion instead of cancelling it "
-      << "(full run " << full_ms << "ms)";
+      << "(full run " << full_cpu_ms << " ms CPU)";
 }
 
 TEST(KvccEngineJobControlTest, BoundedStreamHoldsAtMostLimit) {

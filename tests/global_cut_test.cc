@@ -4,9 +4,12 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "gen/fixtures.h"
 #include "gen/harary.h"
+#include "gen/planted_vcc.h"
 #include "graph/bfs.h"
 #include "graph/graph.h"
 #include "graph/graph_builder.h"
@@ -270,6 +273,164 @@ TEST(GlobalCutTest, ScratchReuseAcrossShrinkingAndGrowingGraphsIsSound) {
     const auto result = GlobalCut(cuttable, 4, {}, options, &stats, &scratch);
     ASSERT_EQ(result.cut.size(), 2u) << "round=" << round;
     EXPECT_TRUE(CutIsValid(cuttable, result.cut, 4));
+  }
+}
+
+/// Every KvccStats field, values only, in ToJson order.
+std::string FieldValues(const KvccStats& stats) {
+  const std::string json = stats.ToJson();
+  std::string values;
+  for (std::size_t at = json.find(": "); at != std::string::npos;
+       at = json.find(": ", at + 1)) {
+    const std::size_t end = json.find_first_of(",}", at);
+    if (!values.empty()) values += ' ';
+    values += json.substr(at + 2, end - at - 2);
+  }
+  return values;
+}
+
+// Golden counters of the serial search: every KvccStats field of one
+// GlobalCut call and of one serial EnumerateKVccs run, per input and
+// preset. The wavefront tests compare multi-worker runs against the
+// serial run; these pinned values keep the serial run itself honest.
+TEST(GlobalCutTest, SerialCountersMatchGoldenValues) {
+  PlantedVccConfig config;
+  config.num_blocks = 5;
+  config.block_size_min = 16;
+  config.block_size_max = 24;
+  config.connectivity = 8;
+  config.overlap = 2;
+  config.bridge_edges = 1;
+  config.seed = 77;
+  const PlantedVccGraph planted = GeneratePlantedVcc(config);
+  struct Input {
+    const char* name;
+    Graph graph;
+    std::uint32_t k;
+  };
+  const std::vector<Input> inputs = {
+      {"harary_5_24", HararyGraph(5, 24), 5},
+      {"two_cliques", TwoCliquesSharing(6, 2), 4},
+      {"petersen", PetersenGraph(), 4},
+      {"planted_77", planted.graph, planted.max_connected_k}};
+  const char* const preset_names[] = {"VCCE", "VCCE-N", "VCCE-G", "VCCE*"};
+  const std::vector<KvccOptions> presets = AllVariants();
+
+  // Columns: the KvccStats fields in declaration order.
+  const std::vector<std::string> golden = {
+      "harary_5_24 VCCE cut: "
+      "0 0 0 18 5 7 0 3 0 1 25 0 0 0 0 0 0 0 60 60 1 0 0 0 0 0 0 0 0 0 0 "
+      "24000 0 0 0 0 0 0 0",
+      "harary_5_24 VCCE enum: "
+      "0 0 0 18 5 7 0 3 0 1 25 0 1 1 0 0 23 0 60 60 1 0 0 0 0 0 0 0 0 0 0 "
+      "24000 0 0 0 0 0 0 0",
+      "harary_5_24 VCCE-N cut: "
+      "0 3 0 18 2 7 0 3 0 1 25 0 0 0 0 0 0 0 60 60 1 0 24 0 0 0 0 0 0 0 0 "
+      "24000 0 0 0 0 0 0 0",
+      "harary_5_24 VCCE-N enum: "
+      "0 3 0 18 2 7 0 3 0 1 25 0 1 1 0 0 23 0 60 60 1 0 24 0 0 0 0 0 0 0 0 "
+      "24000 0 0 0 0 0 0 0",
+      "harary_5_24 VCCE-G cut: "
+      "0 0 0 18 5 7 1 2 0 1 25 0 0 0 0 0 0 0 60 60 1 0 0 0 0 0 0 0 0 0 0 "
+      "24000 0 0 0 0 0 0 0",
+      "harary_5_24 VCCE-G enum: "
+      "0 0 0 18 5 7 1 2 0 1 25 0 1 1 0 0 23 0 60 60 1 0 0 0 0 0 0 0 0 0 0 "
+      "24000 0 0 0 0 0 0 0",
+      "harary_5_24 VCCE* cut: "
+      "0 3 0 18 2 7 1 2 0 1 25 0 0 0 0 0 0 0 60 60 1 0 24 0 0 0 0 0 0 0 0 "
+      "24000 0 0 0 0 0 0 0",
+      "harary_5_24 VCCE* enum: "
+      "0 3 0 18 2 7 1 2 0 1 25 0 1 1 0 0 23 0 60 60 1 0 24 0 0 0 0 0 0 0 0 "
+      "24000 0 0 0 0 0 0 0",
+      "two_cliques VCCE cut: "
+      "0 0 0 1 5 0 0 0 0 1 1 0 0 0 0 0 0 0 29 27 2 0 0 0 0 0 0 0 0 0 0 188 0 "
+      "0 0 0 0 0 0",
+      "two_cliques VCCE enum: "
+      "0 0 0 1 15 0 0 12 0 3 1 1 2 3 0 0 19 0 59 55 4 0 0 0 0 0 0 0 0 0 0 188 "
+      "0 0 0 0 0 0 0",
+      "two_cliques VCCE-N cut: "
+      "0 0 0 1 0 0 0 0 0 1 1 0 0 0 0 0 0 0 29 27 2 8 10 0 0 0 0 0 0 0 0 204 0 "
+      "0 0 0 0 0 0",
+      "two_cliques VCCE-N enum: "
+      "10 0 0 1 0 0 0 0 0 3 1 1 2 3 0 0 19 0 59 55 4 16 18 4 0 0 0 0 0 0 0 "
+      "204 0 0 0 0 0 0 0",
+      "two_cliques VCCE-G cut: "
+      "0 0 0 1 0 0 0 0 0 1 1 0 0 0 0 0 0 0 29 27 2 0 0 0 0 0 0 0 0 0 0 188 0 "
+      "0 0 0 0 0 0",
+      "two_cliques VCCE-G enum: "
+      "0 0 0 1 10 0 0 12 0 3 1 1 2 3 0 0 19 0 59 55 4 0 0 0 0 0 0 0 0 0 0 188 "
+      "0 0 0 0 0 0 0",
+      "two_cliques VCCE* cut: "
+      "0 0 0 1 0 0 0 0 0 1 1 0 0 0 0 0 0 0 29 27 2 8 10 0 0 0 0 0 0 0 0 204 0 "
+      "0 0 0 0 0 0",
+      "two_cliques VCCE* enum: "
+      "10 0 0 1 0 0 0 0 0 3 1 1 2 3 0 0 19 0 59 55 4 16 18 4 0 0 0 0 0 0 0 "
+      "204 0 0 0 0 0 0 0",
+      "petersen VCCE cut: "
+      "0 0 0 1 1 0 0 0 0 1 1 0 0 0 0 0 0 0 15 15 0 0 0 0 0 0 0 0 0 0 0 195 0 "
+      "0 0 0 0 0 0",
+      "petersen VCCE enum: "
+      "0 0 0 0 0 0 0 0 0 0 0 0 0 1 10 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 "
+      "0 0 0 0",
+      "petersen VCCE-N cut: "
+      "0 0 0 1 0 0 0 0 0 1 1 0 0 0 0 0 0 0 15 15 0 0 10 0 0 0 0 0 0 0 0 195 0 "
+      "0 0 0 0 0 0",
+      "petersen VCCE-N enum: "
+      "0 0 0 0 0 0 0 0 0 0 0 0 0 1 10 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 "
+      "0 0 0 0",
+      "petersen VCCE-G cut: "
+      "0 0 0 1 0 0 0 0 0 1 1 0 0 0 0 0 0 0 15 15 0 0 0 0 0 0 0 0 0 0 0 195 0 "
+      "0 0 0 0 0 0",
+      "petersen VCCE-G enum: "
+      "0 0 0 0 0 0 0 0 0 0 0 0 0 1 10 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 "
+      "0 0 0 0",
+      "petersen VCCE* cut: "
+      "0 0 0 1 0 0 0 0 0 1 1 0 0 0 0 0 0 0 15 15 0 0 10 0 0 0 0 0 0 0 0 195 0 "
+      "0 0 0 0 0 0",
+      "petersen VCCE* enum: "
+      "0 0 0 0 0 0 0 0 0 0 0 0 0 1 10 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 "
+      "0 0 0 0",
+      "planted_77 VCCE cut: "
+      "0 0 0 9 10 0 0 0 0 1 9 0 0 0 0 0 0 0 560 547 5 0 0 0 0 0 0 0 0 0 0 "
+      "15488 0 0 0 0 0 0 0",
+      "planted_77 VCCE enum: "
+      "0 0 0 92 87 47 0 93 0 9 139 4 5 9 4 4 367 0 2182 2135 19 0 0 0 0 0 0 0 "
+      "0 0 0 172228 0 0 0 0 0 0 0",
+      "planted_77 VCCE-N cut: "
+      "0 0 0 1 0 0 0 0 0 1 1 0 0 0 0 0 0 0 560 547 5 0 94 0 0 0 0 0 0 0 0 "
+      "6800 0 0 0 0 0 0 0",
+      "planted_77 VCCE-N enum: "
+      "0 47 0 51 3 47 0 93 0 9 98 4 5 9 4 4 367 0 2182 2135 19 0 94 282 0 0 0 "
+      "0 0 0 0 111406 0 0 0 0 0 0 0",
+      "planted_77 VCCE-G cut: "
+      "0 0 0 1 0 0 0 0 0 1 1 0 0 0 0 0 0 0 560 547 5 0 0 0 0 0 0 0 0 0 0 6800 "
+      "0 0 0 0 0 0 0",
+      "planted_77 VCCE-G enum: "
+      "0 0 0 53 48 47 8 85 0 9 100 4 5 9 4 4 367 0 2182 2135 19 0 0 0 0 0 0 0 "
+      "0 0 0 113414 0 0 0 0 0 0 0",
+      "planted_77 VCCE* cut: "
+      "0 0 0 1 0 0 0 0 0 1 1 0 0 0 0 0 0 0 560 547 5 0 94 0 0 0 0 0 0 0 0 "
+      "6800 0 0 0 0 0 0 0",
+      "planted_77 VCCE* enum: "
+      "0 47 0 51 3 33 8 85 14 9 84 4 5 9 4 4 367 0 2182 2135 19 0 94 282 0 0 "
+      "0 0 0 0 0 104565 0 0 0 0 0 0 0",
+  };
+
+  std::vector<std::string> observed;
+  for (const Input& input : inputs) {
+    for (std::size_t p = 0; p < presets.size(); ++p) {
+      const std::string label =
+          std::string(input.name) + " " + preset_names[p];
+      KvccStats cut_stats;
+      GlobalCut(input.graph, input.k, {}, presets[p], &cut_stats);
+      observed.push_back(label + " cut: " + FieldValues(cut_stats));
+      const KvccResult run = EnumerateKVccs(input.graph, input.k, presets[p]);
+      observed.push_back(label + " enum: " + FieldValues(run.stats));
+    }
+  }
+  ASSERT_EQ(observed.size(), golden.size());
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    EXPECT_EQ(observed[i], golden[i]);
   }
 }
 

@@ -63,9 +63,11 @@ TEST_P(OptionsMatrixTest, MatchesBruteForce) {
 
 // Execution-dimension sweep for the probe engine: the decomposition must
 // be byte-identical to the brute-force set for every cut_oracle x thread
-// count x intra-cut-parallelism combination — oracles are exact engines
-// and the parallel paths replay the serial decision sequence.
-TEST(CutOracleMatrixTest, OracleTimesThreadsTimesIntraCutMatchesBruteForce) {
+// count combination — oracles are exact engines and the parallel paths
+// replay the serial decision sequence. The vertex floor is lifted so that
+// every multi-worker run probes through wavefronts even on these small
+// graphs.
+TEST(CutOracleMatrixTest, OracleTimesThreadsWithWavefrontsMatchesBruteForce) {
   for (std::uint64_t seed : {2ull, 5ull, 9ull}) {
     const Graph g = kvcc::testing::RandomConnectedGraph(11, 26, seed);
     for (std::uint32_t k = 2; k <= 4; ++k) {
@@ -74,17 +76,19 @@ TEST(CutOracleMatrixTest, OracleTimesThreadsTimesIntraCutMatchesBruteForce) {
            {CutOracleKind::kDinic, CutOracleKind::kLocalVC,
             CutOracleKind::kHybrid}) {
         for (std::uint32_t threads : {1u, 2u, 8u}) {
-          for (const bool intra_cut : {false, true}) {
-            KvccOptions options = KvccOptions::VcceStar();
-            options.cut_oracle = kind;
-            options.num_threads = threads;
-            options.intra_cut_parallelism = intra_cut;
-            const auto result = EnumerateKVccs(g, k, options);
-            EXPECT_EQ(result.components, expected)
-                << "seed=" << seed << " k=" << k
-                << " oracle=" << CutOracleKindName(kind)
-                << " threads=" << threads << " intra_cut=" << intra_cut;
-            EXPECT_EQ(result.stats.certificate_cut_fallbacks, 0u);
+          KvccOptions options = KvccOptions::VcceStar();
+          options.cut_oracle = kind;
+          options.num_threads = threads;
+          options.intra_cut_min_vertices = 0;
+          const auto result = EnumerateKVccs(g, k, options);
+          const std::string context =
+              "seed=" + std::to_string(seed) + " k=" + std::to_string(k) +
+              " oracle=" + CutOracleKindName(kind) +
+              " threads=" + std::to_string(threads);
+          EXPECT_EQ(result.components, expected) << context;
+          EXPECT_EQ(result.stats.certificate_cut_fallbacks, 0u) << context;
+          if (threads > 1 && result.stats.loc_cut_flow_calls > 0) {
+            EXPECT_GT(result.stats.probes_launched, 0u) << context;
           }
         }
       }

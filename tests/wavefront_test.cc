@@ -1,10 +1,11 @@
 // Determinism of the intra-GLOBAL-CUT probe wavefronts: with a multi-worker
-// scheduler, both phases run their flow probes as concurrent batches that
-// are committed serially, so the returned cut, the strong-side verdicts,
-// and every pre-existing stats counter must be byte-identical to the serial
-// loop for every thread count and batch size — across the whole options
-// matrix. Only the probe-waste diagnostics may differ from a serial run
-// (which launches no speculative probes).
+// scheduler, each phase's loop takes its flow-probe results from
+// concurrent batches instead of probing inline, so the returned cut, the
+// strong-side verdicts, and every replay-identical stats counter must be
+// byte-identical to a run without a scheduler for every thread count and
+// batch size — across the whole options matrix. Only the probe-waste
+// diagnostics may differ from such a run (which launches no speculative
+// probes). global_cut_test pins that scheduler-less run's counters.
 
 #include <gtest/gtest.h>
 
@@ -106,14 +107,14 @@ void ExpectWavefrontByteIdentity(const Graph& g, std::uint32_t k,
         EXPECT_EQ(run.cut, serial.cut) << context;
         ExpectReplayIdenticalStats(stats, serial_stats, context);
         if (threads > 1) {
-          // Every committed flow test needed a launched probe, so serial
+          // Every flow test the loop runs needed a launched probe, so serial
           // flow activity implies wavefront activity. (The converse is not
-          // asserted: formation may speculate probes that commits discard.)
+          // asserted: formation may speculate probes the loop discards.)
           if (serial_stats.loc_cut_flow_calls > 0) {
             EXPECT_GT(stats.probes_launched, 0u) << context;
           }
         } else {
-          EXPECT_EQ(stats.probes_launched, 0u) << context;  // serial loop
+          EXPECT_EQ(stats.probes_launched, 0u) << context;  // inline probes
         }
       }
     }
@@ -252,19 +253,8 @@ TEST(WavefrontTest, SingleGiantComponentEngagesWavefronts) {
   EXPECT_EQ(serial_run.stats.probes_launched, 0u);
 }
 
-TEST(WavefrontTest, IntraCutParallelismCanBeDisabled) {
-  const Graph g = HararyGraph(5, 24);
-  KvccOptions options = KvccOptions::VcceStar();
-  options.num_threads = 4;
-  options.intra_cut_min_vertices = 0;  // the flag alone must disable
-  options.intra_cut_parallelism = false;
-  const KvccResult run = EnumerateKVccs(g, 5, options);
-  EXPECT_EQ(run.stats.probes_launched, 0u);
-  EXPECT_EQ(run.components.size(), 1u);
-}
-
 TEST(WavefrontTest, MinVertexFloorKeepsSmallGraphsSerial) {
-  // Below the floor the exact serial loop runs even on a wide pool.
+  // Below the floor every probe runs inline even on a wide pool.
   const Graph g = HararyGraph(5, 24);
   KvccOptions options = KvccOptions::VcceStar();
   options.num_threads = 4;

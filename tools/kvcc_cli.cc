@@ -47,7 +47,7 @@ int Usage() {
   std::cerr <<
       "usage: kvcc <command> [args]\n"
       "  decompose <graph> <k> [--variant=VCCE*|VCCE|VCCE-N|VCCE-G]\n"
-      "            [--threads=N] [--probe-batch=B] [--no-intra-cut]\n"
+      "            [--threads=N] [--probe-batch=B]\n"
       "            [--cut-oracle=dinic|localvc|hybrid]\n"
       "            [--format=snap|internal]\n"
       "            [--deadline-ms=D] [--validate] [--stats] [--quiet]\n"
@@ -55,15 +55,15 @@ int Usage() {
       "             --format: snap = parallel whitespace edge-list loader\n"
       "             (labels sorted by raw id, uses --threads), internal =\n"
       "             serial loader with first-seen labels (default);\n"
-      "             --probe-batch: probes per intra-cut wavefront, 0 =\n"
-      "             adaptive; --no-intra-cut: disable intra-GLOBAL-CUT\n"
-      "             probe parallelism; --cut-oracle: per-probe flow engine\n"
+      "             --probe-batch: probes per intra-GLOBAL-CUT wavefront\n"
+      "             (used when --threads > 1), 0 = adaptive;\n"
+      "             --cut-oracle: per-probe flow engine\n"
       "             (default hybrid), output is identical for all three;\n"
       "             --deadline-ms: wall-clock budget,\n"
       "             exit 3 with partial stats once it elapses)\n"
       "  stream <graph> <k> [--variant=VCCE*|VCCE|VCCE-N|VCCE-G]\n"
       "         [--threads=N] [--stable-order] [--probe-batch=B]\n"
-      "         [--no-intra-cut] [--cut-oracle=dinic|localvc|hybrid]\n"
+      "         [--cut-oracle=dinic|localvc|hybrid]\n"
       "         [--format=snap|internal]\n"
       "         [--deadline-ms=D] [--stream-buffer=L]\n"
       "         [--priority=interactive|normal|bulk] [--stats]\n"
@@ -75,7 +75,7 @@ int Usage() {
       "          cancels mid-stream, closing with a \"cancelled\" line;\n"
       "          --threads defaults to 0 = all hardware threads)\n"
       "  batch <jobs-file> [--variant=...] [--threads=N] [--probe-batch=B]\n"
-      "        [--no-intra-cut] [--cut-oracle=dinic|localvc|hybrid]\n"
+      "        [--cut-oracle=dinic|localvc|hybrid]\n"
       "        [--format=snap|internal] [--deadline-ms=D]\n"
       "        [--priority=interactive|normal|bulk] [--stats] [--quiet]\n"
       "        (jobs-file lines: \"<graph> <k> [variant]\"; '#' comments.\n"
@@ -127,6 +127,16 @@ bool ParseThreads(const std::string& value, std::uint32_t& threads) {
   return true;
 }
 
+/// Parses a positional k; prints an error naming `command` and returns
+/// false unless k is an integer >= 1.
+bool ParseK(const std::string& value, const char* command, std::uint32_t& k) {
+  if (!ParseUint(value, 0xffffffffUL, k) || k == 0) {
+    std::cerr << "error: " << command << " expects an integer k >= 1\n";
+    return false;
+  }
+  return true;
+}
+
 /// Parses a --probe-batch=B value; prints an error and returns false on
 /// junk.
 bool ParseProbeBatch(const std::string& value, std::uint32_t& batch) {
@@ -172,8 +182,7 @@ enum class GraphFormat {
 };
 
 /// Flags shared by the decompose and stream subcommands: --variant=,
-/// --threads=, --probe-batch=, --format=, --no-intra-cut, --stats. Parsed
-/// into state
+/// --threads=, --probe-batch=, --format=, --stats. Parsed into state
 /// that Options() applies *after* the whole command line is consumed, so a
 /// later --variant= cannot clobber the effect of an earlier flag (each
 /// subcommand likewise applies its own extra flags post-loop).
@@ -221,10 +230,6 @@ struct CommonEnumFlags {
       }
       return Parse::kHandled;
     }
-    if (arg == "--no-intra-cut") {
-      intra_cut = false;
-      return Parse::kHandled;
-    }
     if (arg == "--stats") {
       stats = true;
       return Parse::kHandled;
@@ -237,7 +242,6 @@ struct CommonEnumFlags {
   /// on top.
   void ApplyExecutionKnobs(KvccOptions& options) const {
     options.probe_batch_size = probe_batch;
-    options.intra_cut_parallelism = intra_cut;
     options.cut_oracle = cut_oracle;
     options.deadline_ms = deadline_ms;
     options.priority = priority;
@@ -265,7 +269,6 @@ struct CommonEnumFlags {
   CutOracleKind cut_oracle = CutOracleKind::kHybrid;
   std::uint32_t deadline_ms = 0;
   JobPriority priority = JobPriority::kNormal;
-  bool intra_cut = true;
   bool stats = false;
 };
 
@@ -295,8 +298,9 @@ int CmdDecompose(const std::vector<std::string>& args) {
     }
   }
   const bool stats = flags.stats;
+  std::uint32_t k = 0;
+  if (!ParseK(args[1], "decompose", k)) return 2;
   const Graph g = flags.LoadGraph(args[0]);
-  const auto k = static_cast<std::uint32_t>(std::stoul(args[1]));
   KvccOptions options = flags.Options();
   options.num_threads = flags.threads;
   Timer timer;
@@ -355,12 +359,9 @@ int CmdStream(const std::vector<std::string>& args) {
     }
   }
   const bool stats = flags.stats;
-  const Graph g = flags.LoadGraph(args[0]);
   std::uint32_t k = 0;
-  if (!ParseUint(args[1], 0xffffffffUL, k) || k == 0) {
-    std::cerr << "error: stream expects an integer k >= 1\n";
-    return 2;
-  }
+  if (!ParseK(args[1], "stream", k)) return 2;
+  const Graph g = flags.LoadGraph(args[0]);
   KvccOptions options = flags.Options();
   options.stable_order = stable_order;
   options.stream_buffer_limit = stream_buffer;
@@ -422,10 +423,9 @@ struct BatchJobLine {
 int CmdBatch(const std::vector<std::string>& args) {
   if (args.empty()) return Usage();
   // Batch mode defaults to all hardware threads; the shared enumeration
-  // flags (--threads/--probe-batch/--no-intra-cut/--deadline-ms/
-  // --priority/--variant/--stats) parse exactly as in decompose/stream,
-  // with --variant acting as the default preset for jobs-file lines that
-  // name none.
+  // flags (--threads/--probe-batch/--deadline-ms/--priority/--variant/
+  // --stats) parse exactly as in decompose/stream, with --variant acting
+  // as the default preset for jobs-file lines that name none.
   CommonEnumFlags flags(/*default_threads=*/0);
   bool quiet = false;
   for (std::size_t i = 1; i < args.size(); ++i) {
@@ -553,9 +553,10 @@ int CmdHierarchy(const std::vector<std::string>& args) {
 
 int CmdConnectivity(const std::vector<std::string>& args) {
   if (args.empty()) return Usage();
+  std::uint32_t k = 0;
+  if (args.size() > 1 && !ParseK(args[1], "connectivity", k)) return 2;
   const Graph g = ReadEdgeListFile(args[0]);
   if (args.size() > 1) {
-    const auto k = static_cast<std::uint32_t>(std::stoul(args[1]));
     const bool yes = IsKVertexConnected(g, k);
     std::cout << (yes ? "yes" : "no") << ": graph is "
               << (yes ? "" : "NOT ") << k << "-vertex-connected\n";
@@ -567,8 +568,9 @@ int CmdConnectivity(const std::vector<std::string>& args) {
 
 int CmdModels(const std::vector<std::string>& args) {
   if (args.size() < 2) return Usage();
+  std::uint32_t k = 0;
+  if (!ParseK(args[1], "models", k)) return 2;
   const Graph g = ReadEdgeListFile(args[0]);
-  const auto k = static_cast<std::uint32_t>(std::stoul(args[1]));
   const auto core = KCoreVertices(g, k);
   const auto eccs = KEdgeConnectedComponents(g, k);
   const auto vccs = EnumerateKVccs(g, k).components;
