@@ -12,10 +12,9 @@
 //      its Dinic fallback.
 //
 // Every oracle must enumerate byte-identical components (the engines are
-// exact); the binary hard-fails on any divergence. The LocalVC advantage
-// is reported both as wall-clock and as KvccStats::probe_edges_touched —
-// the arc-inspection counter shows the asymptotic win even when the
-// workload is too small for it to dominate wall-clock.
+// exact); the binary hard-fails on any divergence. Each engine's work is
+// reported both as wall-clock and as KvccStats::probe_edges_touched (the
+// residual slots its probes inspected).
 //
 // Flags:
 //   --scale=<double>   workload size multiplier (default 1.0)
@@ -225,11 +224,11 @@ int main(int argc, char** argv) {
     std::cout << "\nwrote perf snapshot to " << args.json_path << "\n";
   }
   std::cout << "\nExpected shape: every row reports match=yes (the engines "
-               "are exact, so the decomposition is byte-identical); localvc "
-               "and hybrid report far fewer probe_edges_touched than dinic "
-               "on the hub-heavy scenario, with the wall-clock gap tracking "
-               "the arc-count gap as the workload grows. Fallbacks stay a "
-               "small fraction of local probes.\n";
+               "are exact, so the decomposition is byte-identical), and "
+               "fallbacks stay a small fraction of local probes. time and "
+               "probe_edges_touched compare the engines' work; on the "
+               "implicit-residual flow engine dinic keeps pace with localvc "
+               "and hybrid on hub-heavy.\n";
   if (!ok) {
     std::cerr << "ERROR: some oracle produced a different decomposition\n";
     return 1;

@@ -9,7 +9,7 @@ namespace {
 // size. Sized so that k DFS passes over a side of O(k) vertices with O(k)
 // certificate degree each (the shape of a shallow cut) fit without a
 // doubling, while a certify-bound probe on a big graph wastes at most
-// budget * (2^(doublings+1) - 1) arcs before Dinic takes over.
+// budget * (2^(doublings+1) - 1) slots before Dinic takes over.
 std::uint64_t AutoBudget(std::uint32_t k) {
   const std::uint64_t kk = static_cast<std::uint64_t>(k) * k;
   return 64 + 8 * kk * k;  // 64 + 8k^3

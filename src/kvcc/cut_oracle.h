@@ -43,8 +43,8 @@ struct ProbeCounters {
   /// \brief Local-search probes whose budgets ran out, completed by Dinic
   /// on the accumulated partial flow.
   std::uint64_t probes_localvc_fallback = 0;
-  /// \brief Arcs of the flow network inspected by the probe's flow work
-  /// (all engines report this; the LocalVC win shows up here first).
+  /// \brief Residual slots (arcs of the implicit vertex-split network)
+  /// inspected by the probe's flow work; all engines report this.
   std::uint64_t probe_edges_touched = 0;
 
   /// \brief Adds another probe's counters field-by-field.
@@ -61,7 +61,7 @@ struct ProbeCounters {
 /// The defaults are what the presets run; tests pin tiny budgets to force
 /// the fallback path deterministically.
 struct LocalProbeTuning {
-  /// \brief First-round arc-inspection budget; 0 (default) derives the
+  /// \brief First-round slot-inspection budget; 0 (default) derives the
   /// budget from k (poly(k), independent of the graph size — that
   /// independence is what makes the probe sublinear).
   std::uint64_t budget_base = 0;
@@ -72,30 +72,20 @@ struct LocalProbeTuning {
 
 /// \brief Interface of one LOC-CUT probe engine.
 ///
-/// Binding: BindGraph builds the vertex-split flow topology (O(n + m));
-/// BindShared adopts another oracle's already-built topology in O(1)
-/// steady state (the wavefront pool's incremental rebind). A bound oracle
-/// answers any number of probes; instances are affine (not thread-safe),
-/// but distinct borrowers of one owner may bind and probe concurrently.
+/// Binding is O(1): BindGraph only points the oracle at a graph and grows
+/// its per-vertex flow state when the graph is larger than any seen
+/// before. A bound oracle answers any number of probes; instances are
+/// affine (not thread-safe), but any number of oracles may bind to and
+/// probe one graph concurrently.
 class CutOracle {
  public:
   virtual ~CutOracle() = default;
 
-  /// \brief Binds the oracle to `g`, building the flow topology from
-  /// scratch (buffers recycled across binds). `g` must outlive all probes.
-  /// This oracle becomes a topology owner for BindShared.
+  /// \brief Binds the oracle to `g` (buffers recycled across binds). `g`
+  /// must outlive all probes; the previously bound graph is never read
+  /// again, so it may already have been rebuilt or destroyed.
   /// \param g The (certificate or working) graph to probe.
-  void BindGraph(const Graph& g) { flow_.Rebuild(g); }
-
-  /// \brief Binds the oracle to `owner`'s graph by adopting its built
-  /// topology — O(1) once this oracle has seen a topology this large.
-  /// `owner` must stay bound unchanged while this oracle probes; rebind
-  /// after the owner's next BindGraph. Safe concurrently across distinct
-  /// borrowers of one owner.
-  /// \param owner A bound oracle (of any kind) to borrow the topology from.
-  void BindShared(const CutOracle& owner) {
-    flow_.RebindShared(owner.flow_);
-  }
+  void BindGraph(const Graph& g) { flow_.Bind(g); }
 
   /// \brief LOC-CUT probe: empty result when u == v, the endpoints are
   /// adjacent, or kappa(u, v) >= k; otherwise a u-v vertex cut with fewer
@@ -114,21 +104,20 @@ class CutOracle {
   /// \return The engine kind.
   virtual CutOracleKind kind() const = 0;
 
-  /// \brief The graph bound by the last BindGraph/BindShared.
+  /// \brief The graph bound by the last BindGraph.
   /// \return The bound graph, or nullptr before the first bind.
   const Graph* graph() const { return flow_.graph(); }
 
  protected:
-  /// \brief Shared flow substrate: the vertex-split network plus LOC-CUT
-  /// extraction, reused by every engine.
+  /// \brief Shared flow substrate: the implicit vertex-split residual plus
+  /// LOC-CUT extraction, reused by every engine.
   DirectedFlowGraph flow_;
 };
 
 /// \brief Creates the probe engine for `kind`.
 /// \param kind Which engine to instantiate.
 /// \param tuning Local-search budgets (ignored by kDinic).
-/// \return A fresh unbound oracle; call BindGraph/BindShared before
-/// probing.
+/// \return A fresh unbound oracle; call BindGraph before probing.
 std::unique_ptr<CutOracle> MakeCutOracle(CutOracleKind kind,
                                          const LocalProbeTuning& tuning = {});
 

@@ -64,7 +64,7 @@ struct WorkItem {
 
 /// Per-worker mutable scratch. Workers never share an EnumScratch, so the
 /// hot path runs without atomics or locks, and a long-lived engine keeps
-/// the probe oracle (CutOracle, including its flow-network topology),
+/// the probe oracle (CutOracle, including its per-vertex flow state),
 /// certificate, sweep buffers, and the prune-pipeline scratch warm across
 /// every job it serves. A default-constructed scratch is always valid.
 struct EnumScratch {

@@ -211,7 +211,6 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
   // global_cut_calls coherent in partial stats.
   ++stats->global_cut_calls;
   check_cancelled();
-  ++scratch->probe_epoch;  // Pool oracles from older invocations are stale.
 
   GlobalCutResult result;
 
@@ -274,9 +273,7 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
                            n >= options.intra_cut_min_vertices);
   // Probe engine (KvccOptions::cut_oracle): created lazily, replaced only
   // when the option changes between jobs sharing this scratch. Inline
-  // probes run on it directly; with wavefronts it is the topology owner
-  // every pool slot incrementally rebinds to (one O(m) build per
-  // invocation instead of one per slot).
+  // probes run on it directly.
   if (!scratch->oracle || scratch->oracle->kind() != options.cut_oracle) {
     scratch->oracle = MakeCutOracle(options.cut_oracle);
   }
@@ -349,9 +346,8 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
 
   // Runs the current wave concurrently, each pair first through the
   // Lemma-13 test when `common_test` is set. Each executor slot owns one
-  // pool oracle, incrementally rebound (CutOracle::BindShared — adopt the
-  // owner's arc arrays, restamp capacities by epoch) to this invocation's
-  // topology owner the first time the slot participates; a probe writes
+  // pool oracle, bound (O(1)) to the probe graph before each probe — only
+  // the graph is shared, and probes only read it; a probe writes
   // only its own wave_cuts / wave_common_skip / wave_traces entries, and
   // the loop reads them only after ParallelFor returned, so probes race
   // with nothing. The sweep state is immutable during the wave: formation
@@ -375,8 +371,6 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
     auto& cuts = scratch->wave_cuts;
     auto& common_skip = scratch->wave_common_skip;
     auto& traces = scratch->wave_traces;
-    const std::uint64_t epoch = scratch->probe_epoch;
-    const CutOracle& owner = oracle;
     const CutOracleKind oracle_kind = options.cut_oracle;
     const Graph& host = g;
     // Helper stubs carry the owning job's latency class, so an
@@ -384,18 +378,10 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
     // priority instead of degrading to kNormal on its hardest subproblem.
     scheduler->ParallelFor(
         launched,
-        [&pool, &cuts, &common_skip, &traces, &args, &owner, &host, epoch,
+        [&pool, &cuts, &common_skip, &traces, &args, &host, &test_graph,
          oracle_kind, common_test, k](std::size_t i, unsigned slot) {
-          if (!pool[slot]) pool[slot] = std::make_unique<ProbeOracle>();
-          ProbeOracle& po = *pool[slot];
-          if (!po.oracle || po.oracle->kind() != oracle_kind) {
-            po.oracle = MakeCutOracle(oracle_kind);
-            po.bound_epoch = 0;
-          }
-          if (po.bound_epoch != epoch) {
-            po.oracle->BindShared(owner);
-            po.bound_epoch = epoch;
-          }
+          std::unique_ptr<CutOracle>& po = pool[slot];
+          if (!po || po->kind() != oracle_kind) po = MakeCutOracle(oracle_kind);
           traces[i] = ProbeCounters{};
           // Lemma-13 pre-test, evaluated in the wave rather than by the
           // loop: a pure function of the working graph, so the verdict is
@@ -408,8 +394,8 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
             cuts[i].clear();
           } else {
             common_skip[i] = 0;
-            cuts[i] =
-                po.oracle->Probe(args[i].first, args[i].second, k, traces[i]);
+            po->BindGraph(test_graph);
+            cuts[i] = po->Probe(args[i].first, args[i].second, k, traces[i]);
           }
         },
         ToTaskPriority(options.priority));

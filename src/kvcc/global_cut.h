@@ -17,8 +17,8 @@
 // multi-worker TaskScheduler is passed in, a lookahead on that loop runs
 // its flow probes as *deterministic probe wavefronts*: the next batch of
 // probes the loop can still reach executes concurrently on the pool (each
-// participant on its own oracle, incrementally rebound to the invocation's
-// shared topology owner), and the loop consumes the results in order. The
+// participant on its own oracle, bound in O(1) to the invocation's probe
+// graph), and the loop consumes the results in order. The
 // phase-2 common-neighbor test (Lemma 13, a pure function) runs inside the
 // wavefront too, so hub-heavy pair tests do not serialize on it. Sweeps,
 // all replay-identical stats, and the returned cut are byte-identical to
@@ -36,7 +36,6 @@
 #include "exec/task_scheduler.h"
 #include "graph/graph.h"
 #include "kvcc/cut_oracle.h"
-#include "kvcc/flow_graph.h"
 #include "kvcc/job_control.h"
 #include "kvcc/options.h"
 #include "kvcc/side_vertex.h"
@@ -46,23 +45,8 @@
 
 namespace kvcc {
 
-/// One wavefront probe oracle: a CutOracle owned by one executor slot,
-/// lazily rebound ("epoch rebind") to the GLOBAL-CUT invocation's topology
-/// owner the first time that slot participates in the invocation. The
-/// rebind is incremental (CutOracle::BindShared): the slot adopts the
-/// owner's already-built arc arrays and restamps its private capacity
-/// state by epoch, so steady-state entry into a wavefront costs O(1) and
-/// allocates nothing instead of an O(m) per-slot rebuild.
-struct ProbeOracle {
-  /// The slot's probe engine; created on first use, recreated only when
-  /// KvccOptions::cut_oracle changes between jobs sharing the scratch.
-  std::unique_ptr<CutOracle> oracle;
-  /// GlobalCutScratch::probe_epoch value this slot last bound to.
-  std::uint64_t bound_epoch = 0;
-};
-
 /// Reusable per-caller state for GlobalCut. The enumeration engine keeps one
-/// instance per worker thread so that the flow network, the sparse
+/// instance per worker thread so that the flow state, the sparse
 /// certificate (storage and working buffers), the side-vertex detection
 /// working set, the sweep context, and the hot-path BFS/mark buffers are all
 /// recycled across the O(n) GLOBAL-CUT invocations of a run instead of being
@@ -74,10 +58,8 @@ struct ProbeOracle {
 /// side-vertex verdicts until the next call (see GlobalCutResult).
 struct GlobalCutScratch {
   /// Probe engine (KvccOptions::cut_oracle); created lazily, recreated
-  /// only when the option changes, rebound (buffers recycled) per
-  /// invocation. Inline probes run here; with wavefronts this instance
-  /// is the *topology owner* the pool below incrementally rebinds to, and
-  /// is never probed while a wavefront is in flight.
+  /// only when the option changes, rebound (O(1), buffers recycled) per
+  /// invocation. Inline probes run here.
   std::unique_ptr<CutOracle> oracle;
 
   /// Sparse-certificate output storage plus the maximum-adjacency scan
@@ -109,12 +91,11 @@ struct GlobalCutScratch {
   std::vector<VertexId> order;
 
   // --- intra-cut wavefront state ---
-  /// Bumped per GlobalCut invocation; pool oracles lazily rebind when their
-  /// bound_epoch trails it.
-  std::uint64_t probe_epoch = 0;
-  /// One oracle per executor slot (scheduler workers + 1 external slot).
-  /// Grown once per scratch lifetime; entries are created on first use.
-  std::vector<std::unique_ptr<ProbeOracle>> probe_pool;
+  /// One oracle per executor slot (scheduler workers + 1 external slot),
+  /// bound to the invocation's probe graph before each wavefront probe.
+  /// Grown once per scratch lifetime; entries are created on first use and
+  /// recreated only when KvccOptions::cut_oracle changes.
+  std::vector<std::unique_ptr<CutOracle>> probe_pool;
   /// Current wavefront, one entry per launched probe in the loop's order:
   /// the probe's vertex pair (input), and its cut slot, common-skip
   /// verdict and work trace (outputs; disjoint writes across the

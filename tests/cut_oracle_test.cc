@@ -1,9 +1,9 @@
 // The CutOracle contract: every probe engine (Dinic, LocalVC, Hybrid) is
-// exact, so probe results are byte-identical engine-to-engine and match the
-// brute-force local-connectivity oracle; BindShared borrowers answer
-// exactly like a freshly bound oracle; and the accounting counters behave
-// as documented (fallbacks are a subset of local probes, Dinic never
-// reports local work).
+// exact, so probe results are byte-identical engine-to-engine, match the
+// brute-force local-connectivity oracle, and are the closest-to-source
+// minimum separator; a rebound oracle answers exactly like a freshly bound
+// one; and the accounting counters behave as documented (fallbacks are a
+// subset of local probes, Dinic never reports local work).
 
 #include "kvcc/cut_oracle.h"
 
@@ -92,6 +92,92 @@ TEST(CutOracleTest, EnginesAgreeProbeByProbeAndMatchBruteForce) {
   }
 }
 
+// Vertices reachable from u in g - removed, as a bitmask (n <= 32).
+std::uint32_t ReachableMask(const std::vector<std::uint32_t>& adj,
+                            VertexId u, std::uint32_t removed) {
+  std::uint32_t seen = 1u << u;
+  std::uint32_t frontier = seen;
+  while (frontier != 0) {
+    std::uint32_t next = 0;
+    for (std::uint32_t f = frontier; f != 0; f &= f - 1) {
+      next |= adj[static_cast<std::size_t>(__builtin_ctz(f))];
+    }
+    frontier = next & ~removed & ~seen;
+    seen |= frontier;
+  }
+  return seen;
+}
+
+// An engine-independent pin on *which* cut a probe returns, not only its
+// size: with k = kappa(u, v) + 1, every engine must return the minimum u-v
+// separator closest to u — the size-kappa separator S whose u-side
+// component in g - S is contained in every other minimum separator's. It
+// is found here by enumerating vertex subsets, so the check holds however
+// the flow engines underneath are implemented.
+TEST(CutOracleTest, ProbeReturnsTheClosestToSourceMinimumSeparator) {
+  std::uint64_t probes = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const Graph g =
+        kvcc::testing::RandomConnectedGraph(11, 10 + seed % 25, seed);
+    const VertexId n = g.NumVertices();
+    std::vector<std::uint32_t> adj(n, 0);
+    for (VertexId w = 0; w < n; ++w) {
+      for (VertexId x : g.Neighbors(w)) adj[w] |= 1u << x;
+    }
+    std::vector<std::unique_ptr<CutOracle>> oracles;
+    for (CutOracleKind kind : AllKinds()) {
+      oracles.push_back(MakeCutOracle(kind));
+      oracles.back()->BindGraph(g);
+    }
+    for (VertexId u = 0; u < n; ++u) {
+      for (VertexId v = 0; v < n; ++v) {
+        if (u == v || g.HasEdge(u, v)) continue;
+        const std::uint32_t kappa =
+            kvcc::testing::BruteLocalVertexConnectivity(g, u, v);
+        // Among all size-kappa separators, the one with the smallest
+        // u-side component; it must be contained in all the others.
+        std::uint32_t closest = 0;
+        std::uint32_t closest_side = ~0u;
+        std::vector<std::uint32_t> sides;
+        const std::uint32_t endpoints = (1u << u) | (1u << v);
+        for (std::uint32_t s = 0; s < (1u << n); ++s) {
+          if ((s & endpoints) != 0 ||
+              static_cast<std::uint32_t>(__builtin_popcount(s)) != kappa) {
+            continue;
+          }
+          const std::uint32_t side = ReachableMask(adj, u, s);
+          if ((side & (1u << v)) != 0) continue;
+          sides.push_back(side);
+          if (__builtin_popcount(side) < __builtin_popcount(closest_side)) {
+            closest = s;
+            closest_side = side;
+          }
+        }
+        ASSERT_FALSE(sides.empty());
+        for (std::uint32_t side : sides) {
+          ASSERT_EQ(closest_side & ~side, 0u)
+              << "seed=" << seed << " u=" << u << " v=" << v;
+        }
+        std::vector<VertexId> expected;
+        for (VertexId w = 0; w < n; ++w) {
+          if ((closest >> w) & 1u) expected.push_back(w);
+        }
+        for (const auto& oracle : oracles) {
+          ProbeCounters trace;
+          std::vector<VertexId> cut = oracle->Probe(u, v, kappa + 1, trace);
+          std::sort(cut.begin(), cut.end());
+          EXPECT_EQ(cut, expected)
+              << "engine=" << static_cast<int>(oracle->kind())
+              << " seed=" << seed << " u=" << u << " v=" << v
+              << " kappa=" << kappa;
+          ++probes;
+        }
+      }
+    }
+  }
+  EXPECT_GT(probes, 7000u);
+}
+
 // Adjacent pairs and self-probes are locally k-connected for free (Lemma
 // 5): every engine must answer empty without running any flow.
 TEST(CutOracleTest, AdjacentAndSelfProbesAreTrivial) {
@@ -174,49 +260,44 @@ TEST(CutOracleTest, CountersFollowTheEngine) {
   EXPECT_GT(local_trace.probe_edges_touched, 0u);
 }
 
-// The incremental rebind: a borrower bound with BindShared must answer
-// exactly like a freshly built oracle, including after the owner rebinds
-// to a smaller and then a larger graph (the borrower's private capacity
-// state is restamped, never trusted stale).
-TEST(CutOracleTest, BindSharedMatchesFreshBindAcrossOwnerRebinds) {
+// The O(1) rebind: an oracle moved between graphs of different sizes —
+// as a wavefront pool oracle is, once per probe — must answer exactly like
+// a freshly created and bound one (its per-vertex flow state is reset,
+// never trusted stale).
+TEST(CutOracleTest, RebindMatchesFreshBindAcrossGraphs) {
   const Graph big = kvcc::testing::RandomConnectedGraph(14, 40, 9);
   const Graph small = kvcc::testing::RandomConnectedGraph(8, 14, 10);
   const Graph grown = kvcc::testing::RandomConnectedGraph(16, 50, 11);
 
-  auto owner = MakeCutOracle(CutOracleKind::kDinic);
-  auto borrower = MakeCutOracle(CutOracleKind::kLocalVC);
-  auto fresh = MakeCutOracle(CutOracleKind::kLocalVC);
-
+  auto reused = MakeCutOracle(CutOracleKind::kLocalVC);
   for (const Graph* g : {&big, &small, &grown, &small, &big}) {
-    owner->BindGraph(*g);
-    borrower->BindShared(*owner);
-    fresh->BindGraph(*g);
-    EXPECT_EQ(borrower->graph(), owner->graph());
+    reused->BindGraph(*g);
+    EXPECT_EQ(reused->graph(), g);
     for (VertexId u = 0; u < g->NumVertices(); ++u) {
       for (VertexId v = u + 1; v < g->NumVertices(); ++v) {
         if (g->HasEdge(u, v)) continue;
+        auto fresh = MakeCutOracle(CutOracleKind::kLocalVC);
+        fresh->BindGraph(*g);
         ProbeCounters a, b;
-        EXPECT_EQ(borrower->Probe(u, v, 3, a), fresh->Probe(u, v, 3, b))
+        EXPECT_EQ(reused->Probe(u, v, 3, a), fresh->Probe(u, v, 3, b))
             << "n=" << g->NumVertices() << " u=" << u << " v=" << v;
       }
     }
   }
 }
 
-// A borrower keeps answering correctly over many probes without rebinding
-// (dirty-pair reset must restore shared-topology capacities correctly).
+// An oracle keeps answering correctly over many probes on one bind (the
+// O(touched) reset must leave no flow behind).
 TEST(CutOracleTest, RepeatedProbesOnOneBindStayConsistent) {
   const Graph g = TwoCliquesSharing(6, 2);  // kappa = 2 via the shared pair.
-  auto owner = MakeCutOracle(CutOracleKind::kHybrid);
-  auto borrower = MakeCutOracle(CutOracleKind::kHybrid);
-  owner->BindGraph(g);
-  borrower->BindShared(*owner);
+  auto oracle = MakeCutOracle(CutOracleKind::kHybrid);
+  oracle->BindGraph(g);
   ProbeCounters trace;
-  const std::vector<VertexId> first = borrower->Probe(0, 9, 4, trace);
+  const std::vector<VertexId> first = oracle->Probe(0, 9, 4, trace);
   ASSERT_EQ(first.size(), 2u);
   for (int round = 0; round < 10; ++round) {
-    EXPECT_EQ(borrower->Probe(0, 9, 4, trace), first) << "round=" << round;
-    EXPECT_TRUE(borrower->Probe(0, 9, 2, trace).empty());
+    EXPECT_EQ(oracle->Probe(0, 9, 4, trace), first) << "round=" << round;
+    EXPECT_TRUE(oracle->Probe(0, 9, 2, trace).empty());
   }
 }
 

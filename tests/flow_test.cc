@@ -1,7 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "flow/stoer_wagner.h"
-#include "flow/unit_flow_network.h"
 #include "gen/fixtures.h"
 #include "graph/graph.h"
 #include "kvcc/flow_graph.h"
@@ -10,155 +11,46 @@
 namespace kvcc {
 namespace {
 
-TEST(UnitFlowNetworkTest, SingleArc) {
-  UnitFlowNetwork net(2);
-  net.AddArc(0, 1, 1);
-  EXPECT_EQ(net.MaxFlow(0, 1), 1);
-}
-
-TEST(UnitFlowNetworkTest, NoPathMeansZeroFlow) {
-  UnitFlowNetwork net(3);
-  net.AddArc(0, 1, 1);
-  EXPECT_EQ(net.MaxFlow(0, 2), 0);
-}
-
-TEST(UnitFlowNetworkTest, ParallelPaths) {
-  // Two disjoint 0 -> 3 paths.
-  UnitFlowNetwork net(4);
-  net.AddArc(0, 1, 1);
-  net.AddArc(1, 3, 1);
-  net.AddArc(0, 2, 1);
-  net.AddArc(2, 3, 1);
-  EXPECT_EQ(net.MaxFlow(0, 3), 2);
-}
-
-TEST(UnitFlowNetworkTest, BottleneckLimitsFlow) {
-  // 0 -> 1 (cap 3), 1 -> 2 (cap 1): flow is 1.
-  UnitFlowNetwork net(3);
-  net.AddArc(0, 1, 3);
-  net.AddArc(1, 2, 1);
-  EXPECT_EQ(net.MaxFlow(0, 2), 1);
-}
-
-TEST(UnitFlowNetworkTest, RequiresAugmentingPathReRouting) {
-  // Classic case where a greedy path must be re-routed via residual arcs.
-  //   0 -> 1, 0 -> 2, 1 -> 2, 1 -> 3, 2 -> 3 (all cap 1): max flow 2.
-  UnitFlowNetwork net(4);
-  net.AddArc(0, 1, 1);
-  net.AddArc(0, 2, 1);
-  net.AddArc(1, 2, 1);
-  net.AddArc(1, 3, 1);
-  net.AddArc(2, 3, 1);
-  EXPECT_EQ(net.MaxFlow(0, 3), 2);
-}
-
-TEST(UnitFlowNetworkTest, EarlyTerminationHonorsLimit) {
-  // 5 parallel paths; ask for at most 2.
-  UnitFlowNetwork net(12);
-  for (std::uint32_t i = 0; i < 5; ++i) {
-    net.AddArc(0, 2 + i, 1);
-    net.AddArc(2 + i, 1, 1);
-  }
-  EXPECT_EQ(net.MaxFlow(0, 1, 2), 2);
-  net.ResetFlow();
-  EXPECT_EQ(net.MaxFlow(0, 1), 5);
-}
-
-TEST(UnitFlowNetworkTest, ResetFlowRestoresCapacities) {
-  UnitFlowNetwork net(2);
-  net.AddArc(0, 1, 1);
-  EXPECT_EQ(net.MaxFlow(0, 1), 1);
-  EXPECT_EQ(net.MaxFlow(0, 1), 0);  // Saturated without reset.
-  net.ResetFlow();
-  EXPECT_EQ(net.MaxFlow(0, 1), 1);
-}
-
-TEST(UnitFlowNetworkTest, ResidualReachabilityDefinesCut) {
-  // 0 -> 1 -> 2; after saturating, only 0 is residual-reachable.
-  UnitFlowNetwork net(3);
-  net.AddArc(0, 1, 1);
-  net.AddArc(1, 2, 1);
-  EXPECT_EQ(net.MaxFlow(0, 2), 1);
-  const auto reachable = net.ResidualReachable(0);
-  EXPECT_TRUE(reachable[0]);
-  EXPECT_FALSE(reachable[2]);
-}
-
-TEST(UnitFlowNetworkTest, RepeatedResetCyclesStayExact) {
-  // ResetFlow restores only dirtied arcs; many query/reset cycles against
-  // one network must keep matching a fresh network's answers.
-  const Graph g = MakeFigure1Graph().graph;
-  UnitFlowNetwork reused(g.NumVertices());
-  for (VertexId u = 0; u < g.NumVertices(); ++u) {
-    for (VertexId v : g.Neighbors(u)) reused.AddArc(u, v, 1);
-  }
-  for (std::uint32_t trial = 0; trial < 30; ++trial) {
-    const std::uint32_t s = trial % g.NumVertices();
-    const std::uint32_t t = (trial * 7 + 3) % g.NumVertices();
-    if (s == t) continue;
-    UnitFlowNetwork fresh(g.NumVertices());
-    for (VertexId u = 0; u < g.NumVertices(); ++u) {
-      for (VertexId v : g.Neighbors(u)) fresh.AddArc(u, v, 1);
-    }
-    EXPECT_EQ(reused.MaxFlow(s, t), fresh.MaxFlow(s, t))
-        << "s=" << s << " t=" << t;
-    reused.ResetFlow();
-  }
-}
-
-TEST(UnitFlowNetworkTest, ResetAfterLimitedFlowRestoresFullValue) {
-  UnitFlowNetwork net(12);
-  for (std::uint32_t i = 0; i < 5; ++i) {
-    net.AddArc(0, 2 + i, 1);
-    net.AddArc(2 + i, 1, 1);
-  }
-  for (int cycle = 0; cycle < 4; ++cycle) {
-    EXPECT_EQ(net.MaxFlow(0, 1, 2), 2) << "cycle=" << cycle;
-    net.ResetFlow();
-    EXPECT_EQ(net.MaxFlow(0, 1), 5) << "cycle=" << cycle;
-    net.ResetFlow();
-  }
-}
-
-TEST(UnitFlowNetworkTest, ReinitReusesNetworkForNewTopology) {
-  UnitFlowNetwork net(2);
-  net.AddArc(0, 1, 1);
-  EXPECT_EQ(net.MaxFlow(0, 1), 1);
-
-  // Rebind to a larger network: two disjoint 0 -> 3 paths.
-  net.Reinit(4);
-  EXPECT_EQ(net.NumNodes(), 4u);
-  EXPECT_EQ(net.NumArcs(), 0u);
-  net.AddArc(0, 1, 1);
-  net.AddArc(1, 3, 1);
-  net.AddArc(0, 2, 1);
-  net.AddArc(2, 3, 1);
-  EXPECT_EQ(net.MaxFlow(0, 3), 2);
-
-  // And back down to a smaller one.
-  net.Reinit(3);
-  net.AddArc(0, 1, 2);
-  net.AddArc(1, 2, 1);
-  EXPECT_EQ(net.MaxFlow(0, 2), 1);
-}
-
-TEST(DirectedFlowGraphTest, RebuildReusesOracleAcrossGraphs) {
+TEST(DirectedFlowGraphTest, BindReusesOracleAcrossGraphs) {
   DirectedFlowGraph oracle;  // unbound
   const Graph k5 = CompleteGraph(5);
-  oracle.Rebuild(k5);
+  oracle.Bind(k5);
   // kappa(u, v) in K5 \ {u,v} paths: adjacent -> LocCut returns empty.
   EXPECT_TRUE(oracle.LocCut(0, 1, 4).empty());
 
   const Graph cycle = CycleGraph(8);
-  oracle.Rebuild(cycle);
+  oracle.Bind(cycle);
   // In C8, kappa(0, 4) = 2 < 3: a 2-vertex cut must come back.
   const auto cut = oracle.LocCut(0, 4, 3);
   EXPECT_EQ(cut.size(), 2u);
 
   const Graph bip = CompleteBipartite(3, 3);
-  oracle.Rebuild(bip);
+  oracle.Bind(bip);
   // kappa between two left-side vertices of K_{3,3} is 3: no cut below 3.
   EXPECT_TRUE(oracle.LocCut(0, 1, 3).empty());
+}
+
+// Many probes on one bound oracle, alternating capped and uncapped flows,
+// must each match brute-force connectivity: the O(touched) reset between
+// probes leaves no flow behind, including after a probe stopped early at
+// its limit or rerouted earlier paths.
+TEST(DirectedFlowGraphTest, RepeatedProbesMatchBruteForce) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const Graph g = kvcc::testing::RandomConnectedGraph(12, 30, seed);
+    DirectedFlowGraph oracle(g);
+    const auto n = static_cast<std::int32_t>(g.NumVertices());
+    for (VertexId u = 0; u < g.NumVertices(); ++u) {
+      for (VertexId v = 0; v < g.NumVertices(); ++v) {
+        if (u == v || g.HasEdge(u, v)) continue;
+        const auto kappa = static_cast<std::int32_t>(
+            kvcc::testing::BruteLocalVertexConnectivity(g, u, v));
+        EXPECT_EQ(oracle.LocalConnectivity(u, v, 2), std::min(kappa, 2))
+            << "seed=" << seed << " u=" << u << " v=" << v;
+        EXPECT_EQ(oracle.LocalConnectivity(u, v, n), kappa)
+            << "seed=" << seed << " u=" << u << " v=" << v;
+      }
+    }
+  }
 }
 
 TEST(StoerWagnerTest, TrivialGraphs) {

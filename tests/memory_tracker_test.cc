@@ -95,38 +95,33 @@ TEST(MemoryTrackerTest, WarmGlobalCutAllocatesNothing) {
   EXPECT_TRUE(result.cut.empty());
 }
 
-// The wavefront pool's incremental rebind, in isolation: once a borrower
-// oracle has grown to the largest topology it will ever adopt, the full
-// steady-state cycle — owner rebuild, BindShared adoption, and a real flow
-// probe — must perform ZERO heap allocation, even when the owner bounces
-// between differently-sized graphs. This is what makes wavefront entry
-// O(1) per slot instead of an O(m) rebuild.
-TEST(MemoryTrackerTest, WarmOracleBindSharedAllocatesNothing) {
+// The wavefront pool's rebind, in isolation: once a pool oracle has grown
+// to the largest graph it will ever bind, the steady-state cycle — bind to
+// a big graph, probe, bind to a small one, probe — must perform ZERO heap
+// allocation. This is what makes a wavefront probe's bind O(1) per slot.
+TEST(MemoryTrackerTest, WarmPoolOracleRebindAllocatesNothing) {
   ASSERT_TRUE(MemoryTracker::Enabled());
   const Graph big = HararyGraph(5, 40);
   const Graph small = HararyGraph(5, 16);
-  auto owner = MakeCutOracle(CutOracleKind::kHybrid);
-  auto borrower = MakeCutOracle(CutOracleKind::kHybrid);
-  // Warm-up: adopt both sizes twice so every buffer reaches its high-water
+  auto oracle = MakeCutOracle(CutOracleKind::kHybrid);
+  // Warm-up: bind both sizes twice so every buffer reaches its high-water
   // mark. Vertices 0 and 5 are non-adjacent in both circulants, and both
   // graphs are 5-connected, so the probe runs a full flow and answers
   // empty (no cut vector to allocate).
   for (int warm = 0; warm < 2; ++warm) {
     for (const Graph* g : {&big, &small}) {
-      owner->BindGraph(*g);
-      borrower->BindShared(*owner);
+      oracle->BindGraph(*g);
       ProbeCounters trace;
-      ASSERT_TRUE(borrower->Probe(0, 5, 5, trace).empty());
+      ASSERT_TRUE(oracle->Probe(0, 5, 5, trace).empty());
     }
   }
   MemoryTracker::ResetPeak();
   const std::uint64_t baseline = MemoryTracker::CurrentBytes();
   for (int round = 0; round < 5; ++round) {
     for (const Graph* g : {&big, &small}) {
-      owner->BindGraph(*g);
-      borrower->BindShared(*owner);
+      oracle->BindGraph(*g);
       ProbeCounters trace;
-      EXPECT_TRUE(borrower->Probe(0, 5, 5, trace).empty());
+      EXPECT_TRUE(oracle->Probe(0, 5, 5, trace).empty());
     }
   }
   EXPECT_EQ(MemoryTracker::PeakBytes(), baseline)
