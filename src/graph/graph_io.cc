@@ -4,64 +4,19 @@
 #include <atomic>
 #include <charconv>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
-#include <istream>
+#include <limits>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "exec/task_scheduler.h"
-#include "graph/graph_builder.h"
+#include "graph/parallel_blocks.h"
 
 namespace kvcc {
-
-Graph ReadEdgeList(std::istream& in) {
-  GraphBuilder builder;
-  std::unordered_map<std::uint64_t, VertexId> compact;
-  std::vector<VertexId> labels;
-  auto intern = [&](std::uint64_t raw) -> VertexId {
-    auto [it, inserted] =
-        compact.try_emplace(raw, static_cast<VertexId>(labels.size()));
-    if (inserted) labels.push_back(static_cast<VertexId>(raw));
-    return it->second;
-  };
-
-  std::string line;
-  std::size_t line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (line.empty() || line[0] == '#' || line[0] == '%') continue;
-    std::istringstream fields(line);
-    std::uint64_t u = 0, v = 0;
-    if (!(fields >> u >> v)) {
-      throw std::runtime_error("ReadEdgeList: malformed line " +
-                               std::to_string(line_number) + ": '" + line +
-                               "'");
-    }
-    // Sequence the interning explicitly: argument evaluation order is
-    // unspecified, and label order must follow first appearance in the file.
-    const VertexId cu = intern(u);
-    const VertexId cv = intern(v);
-    builder.AddEdge(cu, cv);
-  }
-  builder.EnsureVertex(labels.empty()
-                           ? 0
-                           : static_cast<VertexId>(labels.size() - 1));
-  builder.SetLabels(std::move(labels));
-  return builder.Build();
-}
-
-Graph ReadEdgeListFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("ReadEdgeListFile: cannot open " + path);
-  }
-  return ReadEdgeList(in);
-}
 
 namespace {
 
@@ -85,6 +40,9 @@ void ParseChunk(std::string_view text, std::size_t begin, std::size_t end,
                 ChunkParse& out) {
   const char* p = text.data() + begin;
   const char* const stop = text.data() + end;
+  // Every pair takes a line, so the newline count (+1 for an unterminated
+  // last line) bounds the pairs: one allocation, no growth copies.
+  out.edges.reserve(static_cast<std::size_t>(std::count(p, stop, '\n')) + 1);
   while (p < stop) {
     const char* nl = static_cast<const char*>(
         std::memchr(p, '\n', static_cast<std::size_t>(stop - p)));
@@ -112,16 +70,57 @@ void ParseChunk(std::string_view text, std::size_t begin, std::size_t end,
   }
 }
 
-}  // namespace
-
-Graph ReadEdgeListParallel(std::string_view text, unsigned num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
+// The loader's worker pool: index loops run on it when the loader was
+// given more than one thread, inline otherwise.
+class LoaderPool {
+ public:
+  /// num_threads 0 = one per hardware thread.
+  explicit LoaderPool(unsigned num_threads)
+      : pool_(num_threads != 0
+                  ? num_threads
+                  : std::max(1u, std::thread::hardware_concurrency())) {
+    if (parallel()) pool_.Start();
   }
-  // Newline-aligned chunk ranges, ~4 per thread so the dynamic ParallelFor
-  // claim evens out skewed line lengths.
+
+  unsigned workers() const { return pool_.num_workers(); }
+  bool parallel() const { return workers() > 1; }
+
+  // body(i) for every i in [0, count).
+  template <typename Body>
+  void ForEach(std::size_t count, const Body& body) {
+    if (parallel() && count > 1) {
+      pool_.ParallelFor(count, [&](std::size_t i, unsigned) { body(i); });
+    } else {
+      for (std::size_t i = 0; i < count; ++i) body(i);
+    }
+  }
+
+  // body(begin, end) over contiguous blocks of [0, count).
+  template <typename Body>
+  void ForBlocks(std::size_t count, const Body& body) {
+    if (parallel()) {
+      detail::ForBlocks(pool_, count, exec::TaskPriority::kNormal,
+                        [&](std::size_t begin, std::size_t end, unsigned) {
+                          body(begin, end);
+                        });
+    } else {
+      body(0, count);
+    }
+  }
+
+ private:
+  exec::TaskScheduler pool_;
+};
+
+// Splits `text` at newline boundaries into ~4 chunks per worker (so the
+// dynamic claim evens out skewed line lengths) and parses them. Chunks
+// stay in file order. Throws naming the first malformed line in *file*
+// order: a clean chunk's line count is exact, so prefix-summing locates it
+// whichever chunk failed first.
+std::vector<ChunkParse> ParseChunks(std::string_view text, LoaderPool& pool,
+                                    const std::string& source) {
   const std::size_t target_chunks =
-      num_threads > 1 ? static_cast<std::size_t>(num_threads) * 4 : 1;
+      pool.parallel() ? static_cast<std::size_t>(pool.workers()) * 4 : 1;
   std::vector<std::pair<std::size_t, std::size_t>> ranges;
   std::size_t pos = 0;
   for (std::size_t i = 1; i <= target_chunks && pos < text.size(); ++i) {
@@ -142,131 +141,124 @@ Graph ReadEdgeListParallel(std::string_view text, unsigned num_threads) {
   }
 
   std::vector<ChunkParse> chunks(ranges.size());
-  exec::TaskScheduler* scheduler = nullptr;
-  exec::TaskScheduler pool(num_threads);
-  if (num_threads > 1) {
-    pool.Start();
-    scheduler = &pool;
-  }
-  const auto for_indexed = [&](std::size_t count, const auto& body) {
-    if (scheduler != nullptr && count > 1) {
-      scheduler->ParallelFor(count,
-                             [&](std::size_t i, unsigned) { body(i); });
-    } else {
-      for (std::size_t i = 0; i < count; ++i) body(i);
-    }
-  };
-  for_indexed(ranges.size(), [&](std::size_t i) {
+  pool.ForEach(ranges.size(), [&](std::size_t i) {
     ParseChunk(text, ranges[i].first, ranges[i].second, chunks[i]);
   });
 
-  // First malformed line in *file* order: chunks are in file order and a
-  // clean chunk's line count is exact, so prefix-summing locates it.
   std::size_t line_prefix = 0;
   for (const ChunkParse& chunk : chunks) {
     if (chunk.error_line != 0) {
-      if (scheduler != nullptr) pool.Stop();
       throw std::runtime_error(
-          "ReadEdgeListParallel: malformed line " +
+          source + ": malformed line " +
           std::to_string(line_prefix + chunk.error_line) + ": '" +
           chunk.error_text + "'");
     }
     line_prefix += chunk.lines;
   }
+  return chunks;
+}
 
+// Numbers the raw ids of `chunks` by first appearance (file order, u
+// before v on each line, self-loop endpoints included), rewriting every
+// pair to compact ids, and returns the labels (compact id -> raw id).
+std::vector<VertexId> NumberByFirstAppearance(
+    std::vector<ChunkParse>& chunks) {
   std::size_t total_pairs = 0;
   VertexId max_id = 0;
   for (const ChunkParse& chunk : chunks) {
     total_pairs += chunk.edges.size();
     max_id = std::max(max_id, chunk.max_id);
   }
-  if (total_pairs == 0) {
-    if (scheduler != nullptr) pool.Stop();
-    return Graph();
-  }
-
-  // Compact raw ids to [0, n) in sorted order. Dense id spaces take a
-  // present-bitmap + prefix scan; wildly sparse ones (raw ids far beyond
-  // the edge count) fall back to sort + unique over the endpoints. Both
-  // yield the same ascending label list.
-  const std::uint64_t id_space = static_cast<std::uint64_t>(max_id) + 1;
-  const bool dense =
-      id_space <= std::max<std::uint64_t>(std::uint64_t{1} << 26,
-                                          16 * total_pairs);
+  constexpr VertexId kUnseen = std::numeric_limits<VertexId>::max();
   std::vector<VertexId> labels;
-  std::vector<VertexId> rank;  // dense path: raw id -> compact id
-  if (dense) {
-    std::vector<std::uint8_t> present(id_space, 0);
-    for_indexed(chunks.size(), [&](std::size_t i) {
-      for (const auto& [u, v] : chunks[i].edges) {
-        std::atomic_ref<std::uint8_t>(present[u])
-            .store(1, std::memory_order_relaxed);
-        std::atomic_ref<std::uint8_t>(present[v])
-            .store(1, std::memory_order_relaxed);
+  // The one serial pass: ids are handed out in file order, so the result
+  // does not depend on how the text was chunked.
+  const auto assign = [&](auto&& slot_of) {
+    const auto number = [&](VertexId& raw) {
+      VertexId& id = slot_of(raw);
+      if (id == kUnseen) {
+        id = static_cast<VertexId>(labels.size());
+        labels.push_back(raw);
       }
-    });
-    rank.resize(id_space);
-    for (std::uint64_t raw = 0; raw < id_space; ++raw) {
-      if (present[raw] != 0) {
-        rank[raw] = static_cast<VertexId>(labels.size());
-        labels.push_back(static_cast<VertexId>(raw));
+      raw = id;
+    };
+    for (ChunkParse& chunk : chunks) {
+      for (auto& [u, v] : chunk.edges) {
+        number(u);
+        number(v);
       }
     }
+  };
+  // Dense id spaces index a raw -> id table; sparse ones (raw ids far
+  // beyond the pair count) look ids up in their sorted distinct set, so
+  // memory follows the input, not its largest id.
+  const std::uint64_t id_space = static_cast<std::uint64_t>(max_id) + 1;
+  if (id_space <= 16 * static_cast<std::uint64_t>(total_pairs)) {
+    std::vector<VertexId> id_of(id_space, kUnseen);
+    assign([&](VertexId raw) -> VertexId& { return id_of[raw]; });
   } else {
-    labels.reserve(2 * total_pairs);
+    std::vector<VertexId> distinct;
+    distinct.reserve(2 * total_pairs);
     for (const ChunkParse& chunk : chunks) {
       for (const auto& [u, v] : chunk.edges) {
-        labels.push_back(u);
-        labels.push_back(v);
+        distinct.push_back(u);
+        distinct.push_back(v);
       }
     }
-    std::sort(labels.begin(), labels.end());
-    labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
+    std::sort(distinct.begin(), distinct.end());
+    distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                   distinct.end());
+    std::vector<VertexId> id_of(distinct.size(), kUnseen);
+    assign([&](VertexId raw) -> VertexId& {
+      return id_of[static_cast<std::size_t>(
+          std::lower_bound(distinct.begin(), distinct.end(), raw) -
+          distinct.begin())];
+    });
   }
-  const VertexId n = static_cast<VertexId>(labels.size());
-  const auto compact = [&](VertexId raw) -> VertexId {
-    if (dense) return rank[raw];
-    return static_cast<VertexId>(
-        std::lower_bound(labels.begin(), labels.end(), raw) -
-        labels.begin());
-  };
+  return labels;
+}
 
-  // Counting-sort CSR build: atomic degree count (duplicates included),
-  // prefix sum, atomic-cursor scatter of both directions, per-row sort +
-  // dedup, then one compaction pass down to the final offsets.
+// Counting-sort CSR build over compact-id pairs: atomic degree count
+// (duplicates included), prefix sum, atomic-cursor scatter of both
+// directions, per-row sort + dedup, then one compaction pass down to the
+// final offsets. Consumes `chunks`.
+Graph BuildCsr(std::vector<ChunkParse> chunks, std::vector<VertexId> labels,
+               LoaderPool& pool) {
+  const VertexId n = static_cast<VertexId>(labels.size());
   std::vector<std::uint64_t> offsets(static_cast<std::size_t>(n) + 1, 0);
-  for_indexed(chunks.size(), [&](std::size_t i) {
+  pool.ForEach(chunks.size(), [&](std::size_t i) {
     for (const auto& [u, v] : chunks[i].edges) {
       if (u == v) continue;
-      std::atomic_ref<std::uint64_t>(offsets[compact(u) + 1])
+      std::atomic_ref<std::uint64_t>(offsets[u + 1])
           .fetch_add(1, std::memory_order_relaxed);
-      std::atomic_ref<std::uint64_t>(offsets[compact(v) + 1])
+      std::atomic_ref<std::uint64_t>(offsets[v + 1])
           .fetch_add(1, std::memory_order_relaxed);
     }
   });
   for (VertexId v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
   std::vector<std::uint64_t> cursor(offsets.begin(), offsets.end() - 1);
   std::vector<VertexId> adjacency(offsets[n]);
-  for_indexed(chunks.size(), [&](std::size_t i) {
+  pool.ForEach(chunks.size(), [&](std::size_t i) {
     for (const auto& [u, v] : chunks[i].edges) {
       if (u == v) continue;
-      const VertexId cu = compact(u), cv = compact(v);
-      adjacency[std::atomic_ref<std::uint64_t>(cursor[cu]).fetch_add(
-          1, std::memory_order_relaxed)] = cv;
-      adjacency[std::atomic_ref<std::uint64_t>(cursor[cv]).fetch_add(
-          1, std::memory_order_relaxed)] = cu;
+      adjacency[std::atomic_ref<std::uint64_t>(cursor[u]).fetch_add(
+          1, std::memory_order_relaxed)] = v;
+      adjacency[std::atomic_ref<std::uint64_t>(cursor[v]).fetch_add(
+          1, std::memory_order_relaxed)] = u;
     }
   });
+  chunks = {};  // the pairs are in the rows now
   // Normalize each row; record deduped lengths in `cursor` (reused).
-  for_indexed(n, [&](std::size_t v) {
-    const auto row_begin =
-        adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v]);
-    const auto row_end =
-        adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]);
-    std::sort(row_begin, row_end);
-    cursor[v] =
-        static_cast<std::uint64_t>(std::unique(row_begin, row_end) -
-                                   row_begin);
+  pool.ForBlocks(n, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t v = begin; v < end; ++v) {
+      const auto row_begin =
+          adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v]);
+      const auto row_end =
+          adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]);
+      std::sort(row_begin, row_end);
+      cursor[v] = static_cast<std::uint64_t>(
+          std::unique(row_begin, row_end) - row_begin);
+    }
   });
   // Compact duplicate slack out of the rows (serial: rows move down in
   // order, so this cannot run ahead of itself).
@@ -283,30 +275,56 @@ Graph ReadEdgeListParallel(std::string_view text, unsigned num_threads) {
   }
   offsets[n] = write;
   adjacency.resize(write);
-  if (scheduler != nullptr) pool.Stop();
 
   // Identity labels stay implicit when the raw ids were already compact.
-  const bool identity = [&] {
-    for (VertexId v = 0; v < n; ++v) {
-      if (labels[v] != v) return false;
-    }
-    return true;
-  }();
+  bool identity = true;
+  for (VertexId v = 0; v < n && identity; ++v) identity = labels[v] == v;
+  if (identity) labels.clear();
   return Graph::FromCsr(n, std::move(offsets), std::move(adjacency),
-                        identity ? std::vector<VertexId>()
-                                 : std::move(labels));
+                        std::move(labels));
 }
 
-Graph ReadEdgeListFileParallel(const std::string& path,
-                               unsigned num_threads) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("ReadEdgeListFileParallel: cannot open " + path);
+// The whole file, read into a buffer sized from the file itself. Throws
+// unless `path` names a regular file: a directory, FIFO or device has no
+// edge list to read (and a FIFO or device may never end).
+std::string ReadRegularFile(const std::string& path) {
+  namespace fs = std::filesystem;
+  std::error_code error;
+  const fs::file_status status = fs::status(path, error);
+  if (error || !fs::exists(status)) {
+    throw std::runtime_error("ReadEdgeListFile: cannot open " + path);
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = std::move(buffer).str();
-  return ReadEdgeListParallel(text, num_threads);
+  if (!fs::is_regular_file(status)) {
+    throw std::runtime_error("ReadEdgeListFile: not a regular file: " + path);
+  }
+  const std::uintmax_t size = fs::file_size(path, error);
+  std::ifstream in(path, std::ios::binary);
+  if (error || !in) {
+    throw std::runtime_error("ReadEdgeListFile: cannot open " + path);
+  }
+  std::string text(static_cast<std::size_t>(size), '\0');
+  in.read(text.data(), static_cast<std::streamsize>(text.size()));
+  text.resize(static_cast<std::size_t>(in.gcount()));
+  return text;
+}
+
+}  // namespace
+
+Graph ReadEdgeList(std::string_view text, unsigned num_threads) {
+  LoaderPool pool(num_threads);
+  std::vector<ChunkParse> chunks = ParseChunks(text, pool, "ReadEdgeList");
+  std::vector<VertexId> labels = NumberByFirstAppearance(chunks);
+  return BuildCsr(std::move(chunks), std::move(labels), pool);
+}
+
+Graph ReadEdgeListFile(const std::string& path, unsigned num_threads) {
+  std::string text = ReadRegularFile(path);
+  LoaderPool pool(num_threads);
+  std::vector<ChunkParse> chunks =
+      ParseChunks(text, pool, "ReadEdgeListFile: " + path);
+  std::string().swap(text);  // parsed; free the bytes before the CSR build
+  std::vector<VertexId> labels = NumberByFirstAppearance(chunks);
+  return BuildCsr(std::move(chunks), std::move(labels), pool);
 }
 
 void WriteEdgeList(const Graph& g, std::ostream& out) {

@@ -118,7 +118,11 @@ struct Request {
   std::uint32_t k = 0;
   /// \brief Deepest hierarchy level (hierarchy; 0 = until exhausted).
   std::uint32_t max_k = 0;
-  /// \brief Queried vertex, in original-label space (membership).
+  /// \brief Queried vertex (membership): an id of the graph as the server
+  /// loads it, not a file label. For "graph" requests that is the file's
+  /// vertices numbered by first appearance (graph/graph_io.h); component
+  /// `vertices` use the same ids, and the membership reply echoes the
+  /// vertex's file label.
   VertexId vertex = 0;
   /// \brief Server-side edge-list path ("graph"); empty if inline edges.
   std::string graph_path;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -15,6 +16,7 @@
 
 #include "gen/fixtures.h"
 #include "graph/graph.h"
+#include "graph/graph_io.h"
 #include "kvcc/hierarchy.h"
 #include "kvcc/kvcc_enum.h"
 #include "server/protocol.h"
@@ -223,6 +225,37 @@ TEST(KvccdProtocolTest, MembershipServedFromCachedHierarchy) {
   EXPECT_EQ(second[0],
             server::MembershipLine(7, h.CohesionOf(7), h.PathOf(7)));
   EXPECT_EQ(daemon.Cache().Misses(), misses);
+}
+
+TEST(KvccdProtocolTest, GraphFileRequestsSpeakFirstAppearanceIds) {
+  // A "graph" request's `vertex` and its components' `vertices` are ids of
+  // the graph as the server loads it: the file's vertices numbered by first
+  // appearance. Here raw 30 is id 0, 10 is 1, 20 is 2 and 5 is 3, while
+  // sorted raw ids would make the triangle {1, 2, 3}.
+  const std::string path =
+      ::testing::TempDir() + "/kvccd_first_appearance.txt";
+  std::ofstream(path) << "30 10\n10 20\n20 30\n20 5\n";
+  KvccdServer daemon;
+  Connection conn(daemon);
+  EXPECT_EQ(
+      conn.Roundtrip("{\"op\":\"decompose\",\"k\":2,\"graph\":\"" + path +
+                     "\"}"),
+      (std::vector<std::string>{server::ComponentLine(0, {0, 1, 2}),
+                                server::DecomposeCompleteLine(2, 1)}));
+  // Membership takes a loaded id and echoes the file's label for it.
+  const Graph loaded = ReadEdgeListFile(path);
+  const KvccHierarchy h = BuildKvccHierarchy(loaded);
+  for (const VertexId v : {0u, 3u}) {
+    EXPECT_EQ(conn.Roundtrip("{\"op\":\"membership\",\"vertex\":" +
+                             std::to_string(v) + ",\"graph\":\"" + path +
+                             "\"}"),
+              std::vector<std::string>{server::MembershipLine(
+                  loaded.LabelOf(v), h.CohesionOf(v), h.PathOf(v))});
+  }
+  EXPECT_EQ(loaded.LabelOf(0), 30u);
+  EXPECT_EQ(loaded.LabelOf(3), 5u);
+  EXPECT_EQ(h.CohesionOf(0), 2u);
+  EXPECT_EQ(h.CohesionOf(3), 1u);
 }
 
 TEST(KvccdProtocolTest, DisconnectMidStreamFiresCancel) {

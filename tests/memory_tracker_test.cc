@@ -12,6 +12,7 @@
 #include "gen/harary.h"
 #include "graph/connected_components.h"
 #include "graph/delta_store.h"
+#include "graph/graph_io.h"
 #include "graph/k_core.h"
 #include "graph/preprocess.h"
 #include "kvcc/cut_oracle.h"
@@ -270,6 +271,18 @@ TEST(MemoryTrackerTest, WarmVersionedGraphMutationAllocatesNothing) {
   }
   EXPECT_EQ(MemoryTracker::PeakBytes(), baseline)
       << "steady-state VersionedGraph mutation touched the allocator";
+}
+
+TEST(MemoryTrackerTest, EdgeListLoadScalesWithTheInputNotItsLargestId) {
+  // Two lines, one id just below 2^26: the raw -> compact id table must
+  // not be sized from the largest id (that was 256 MiB for this input).
+  ASSERT_TRUE(MemoryTracker::Enabled());
+  MemoryTracker::ResetPeak();
+  const std::uint64_t baseline = MemoryTracker::CurrentBytes();
+  const Graph g = ReadEdgeList("0 67108863\n1 0\n");
+  EXPECT_EQ(g.LabelsOf(std::vector<VertexId>{0, 1, 2}),
+            (std::vector<VertexId>{0, 67108863, 1}));
+  EXPECT_LT(MemoryTracker::PeakBytes() - baseline, std::uint64_t{1} << 20);
 }
 
 TEST(ProcessMemoryTest, RssReadable) {

@@ -1,17 +1,15 @@
 // The flat-parallel preprocessing kernels against their serial references:
 // Afforest labeling vs BFS labeling, the bucket peel vs a naive
-// queue-based peel, the fused prune vs the staged pipeline, full
-// enumeration vs the brute-force partition oracle, and the parallel
-// edge-list loader vs the serial reader — all demanding *exact* equality
-// at every thread count.
+// queue-based peel, the fused prune vs the staged pipeline, and full
+// enumeration vs the brute-force partition oracle — all demanding *exact*
+// equality at every thread count. The edge-list loader's thread-count
+// invariance is pinned in graph_io_test.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <queue>
-#include <sstream>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,7 +20,6 @@
 #include "gen/rmat.h"
 #include "graph/connected_components.h"
 #include "graph/graph.h"
-#include "graph/graph_io.h"
 #include "graph/k_core.h"
 #include "graph/preprocess.h"
 #include "kvcc/kvcc_enum.h"
@@ -307,148 +304,6 @@ TEST(FusedPruneTest, EnumerationMatchesBruteForceAtEveryThreadCount) {
       }
     }
   }
-}
-
-// ---- parallel loader --------------------------------------------------------
-
-/// Full structural fingerprint: vertex numbering, labels, and adjacency
-/// order all included. Equal fingerprints mean byte-identical graphs.
-std::string GraphFingerprint(const Graph& g) {
-  std::ostringstream out;
-  out << g.NumVertices() << "/" << g.NumEdges() << ";";
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    out << g.LabelOf(v) << ":";
-    for (const VertexId w : g.Neighbors(v)) out << g.LabelOf(w) << ",";
-    out << ";";
-  }
-  return out.str();
-}
-
-/// Numbering-independent fingerprint: rows keyed and sorted by label,
-/// neighbor labels sorted. The serial reader numbers vertices by first
-/// appearance and keeps insertion-order adjacency, so comparing it to the
-/// parallel loader's sorted numbering needs this canonical form.
-std::string CanonicalFingerprint(const Graph& g) {
-  std::vector<std::pair<VertexId, std::vector<VertexId>>> rows;
-  rows.reserve(g.NumVertices());
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    std::vector<VertexId> nbrs;
-    nbrs.reserve(g.Neighbors(v).size());
-    for (const VertexId w : g.Neighbors(v)) nbrs.push_back(g.LabelOf(w));
-    std::sort(nbrs.begin(), nbrs.end());
-    rows.emplace_back(g.LabelOf(v), std::move(nbrs));
-  }
-  std::sort(rows.begin(), rows.end());
-  std::ostringstream out;
-  out << g.NumVertices() << "/" << g.NumEdges() << ";";
-  for (const auto& [label, nbrs] : rows) {
-    out << label << ":";
-    for (const VertexId w : nbrs) out << w << ",";
-    out << ";";
-  }
-  return out.str();
-}
-
-TEST(ParallelLoaderTest, RoundTripMatchesSerialReader) {
-  for (const Graph& g :
-       {RandomConnectedGraph(50, 80, 1), BarabasiAlbert(3000, 3, 4),
-        GridGraph(20, 20)}) {
-    std::ostringstream text;
-    WriteEdgeList(g, text);
-    std::istringstream serial_in(text.str());
-    const Graph serial = ReadEdgeList(serial_in);
-    for (const unsigned threads : kThreadCounts) {
-      const Graph parallel = ReadEdgeListParallel(text.str(), threads);
-      EXPECT_EQ(CanonicalFingerprint(parallel), CanonicalFingerprint(serial))
-          << "threads=" << threads;
-    }
-  }
-}
-
-TEST(ParallelLoaderTest, ThreadCountInvariant) {
-  std::ostringstream text;
-  WriteEdgeList(BarabasiAlbert(5000, 4, 13), text);
-  const std::string reference =
-      GraphFingerprint(ReadEdgeListParallel(text.str(), 1));
-  for (const unsigned threads : {2u, 3u, 8u, 16u}) {
-    EXPECT_EQ(GraphFingerprint(ReadEdgeListParallel(text.str(), threads)),
-              reference)
-        << "threads=" << threads;
-  }
-}
-
-TEST(ParallelLoaderTest, CommentsBlanksAndTrailingTokens) {
-  const std::string text =
-      "# header comment\n"
-      "% percent comment\n"
-      "\n"
-      "   \t \n"
-      "1 2 weight=7 extra tokens\n"
-      "\t2  3\n"
-      "3 1\r\n";
-  const Graph g = ReadEdgeListParallel(text, 2);
-  EXPECT_EQ(g.NumVertices(), 3u);
-  EXPECT_EQ(g.NumEdges(), 3u);
-}
-
-TEST(ParallelLoaderTest, LabelsSortedByRawId) {
-  const Graph g = ReadEdgeListParallel("100 7\n7 3\n", 2);
-  ASSERT_EQ(g.NumVertices(), 3u);
-  EXPECT_EQ(g.LabelOf(0), 3u);
-  EXPECT_EQ(g.LabelOf(1), 7u);
-  EXPECT_EQ(g.LabelOf(2), 100u);
-  // Vertex 1 (raw 7) neighbors raw 3 and raw 100.
-  EXPECT_EQ(g.Neighbors(1).size(), 2u);
-  EXPECT_EQ(g.Neighbors(0).size(), 1u);
-}
-
-TEST(ParallelLoaderTest, DuplicatesAndSelfLoops) {
-  // Duplicate edges collapse (in either direction); a self-loop keeps the
-  // vertex but contributes no edge — same as the serial reader.
-  const Graph g = ReadEdgeListParallel("1 2\n2 1\n1 2\n5 5\n", 2);
-  ASSERT_EQ(g.NumVertices(), 3u);
-  EXPECT_EQ(g.NumEdges(), 1u);
-  EXPECT_EQ(g.LabelOf(2), 5u);
-  EXPECT_TRUE(g.Neighbors(2).empty());
-}
-
-TEST(ParallelLoaderTest, MalformedInputNamesFirstBadLineInFileOrder) {
-  const auto expect_throws_line = [](const std::string& text,
-                                     const std::string& needle) {
-    for (const unsigned threads : kThreadCounts) {
-      try {
-        ReadEdgeListParallel(text, threads);
-        FAIL() << "expected malformed-input throw for: " << text;
-      } catch (const std::runtime_error& error) {
-        EXPECT_NE(std::string(error.what()).find(needle), std::string::npos)
-            << "threads=" << threads << " what=" << error.what();
-      }
-    }
-  };
-  expect_throws_line("1 2\nbad line\n3 4\n", "line 2");
-  expect_throws_line("1 2\n3\n", "line 2");            // missing endpoint
-  expect_throws_line("1 -2\n", "line 1");              // negative id
-  expect_throws_line("99999999999 1\n", "line 1");     // > 32-bit id
-  // Two bad lines in different chunks: the *first in file order* wins
-  // regardless of which chunk parses first.
-  std::string text;
-  text += "nope\n";
-  for (int i = 0; i < 5000; ++i) text += "1 2\n";
-  text += "also bad\n";
-  expect_throws_line(text, "line 1");
-}
-
-TEST(ParallelLoaderTest, EmptyInputYieldsEmptyGraph) {
-  const Graph g = ReadEdgeListParallel("", 4);
-  EXPECT_EQ(g.NumVertices(), 0u);
-  EXPECT_EQ(g.NumEdges(), 0u);
-  const Graph comments_only = ReadEdgeListParallel("# nothing\n\n", 4);
-  EXPECT_EQ(comments_only.NumVertices(), 0u);
-}
-
-TEST(ParallelLoaderTest, MissingFileThrows) {
-  EXPECT_THROW(ReadEdgeListFileParallel("/nonexistent/kvcc.el", 2),
-               std::runtime_error);
 }
 
 }  // namespace

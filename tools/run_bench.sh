@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Builds (if needed) and runs the perf snapshot benches, leaving a
-# machine-readable BENCH_kvcc.json in the repo root so the benchmark
-# trajectory can be tracked across commits.
+# Builds (if needed) and runs the perf snapshot benches, writing one
+# machine-readable JSON object per line to <out-file>. The tracked
+# performance record is the repository benchmark (perfbench/, declared in
+# BENCHMARK.json); this snapshot is for ad-hoc comparisons and CI smokes.
 #
 # The build is verified (and if necessary forced) to be a Release build:
 # a previous revision of this script reused whatever build directory it
@@ -9,12 +10,16 @@
 # stamped with the build type and git commit so a stray debug number can
 # never masquerade as a trajectory point again.
 #
-# usage: tools/run_bench.sh [build-dir] [out-file]
+# usage: tools/run_bench.sh <build-dir> <out-file>
 set -euo pipefail
 
+if [[ $# -ne 2 ]]; then
+  echo "usage: tools/run_bench.sh <build-dir> <out-file>" >&2
+  exit 2
+fi
 REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
-BUILD_DIR="${1:-$REPO_ROOT/build}"
-OUT_FILE="${2:-$REPO_ROOT/BENCH_kvcc.json}"
+BUILD_DIR="$1"
+OUT_FILE="$2"
 
 build_type() {
   sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' "$BUILD_DIR/CMakeCache.txt" 2>/dev/null
@@ -76,9 +81,9 @@ rm -f "$OUT_FILE"
   --build-type="$BUILD_TYPE" --commit="$GIT_COMMIT"
 
 # Preprocessing pipeline: bytes-on-disk to first GLOBAL-CUT for the fused
-# flat-parallel prune (parallel loader + Afforest + bucket peel) vs the
-# staged serial baseline (hard-fails on any output or counter divergence
-# across pipelines or thread counts).
+# flat-parallel prune (Afforest + bucket peel) vs the staged serial
+# baseline (hard-fails on any output or counter divergence across
+# pipelines or thread counts).
 "$BUILD_DIR/bench_preprocessing" --threads=1,2,8 --json="$OUT_FILE" \
   --build-type="$BUILD_TYPE" --commit="$GIT_COMMIT"
 
