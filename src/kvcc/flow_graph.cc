@@ -15,6 +15,7 @@ void DirectedFlowGraph::Bind(const Graph& g) {
     prv_.resize(n, kNone);           // kvcc-lint: reserved
     nxt_.resize(n, kNone);           // kvcc-lint: reserved
     touched_epoch_.resize(n, 0);     // kvcc-lint: reserved
+    sink_nbr_epoch_.resize(n, 0);    // kvcc-lint: reserved
     // New nodes carry epoch 0, which never equals a live phase epoch.
     node_.resize(2 * n);             // kvcc-lint: reserved
   }
@@ -30,6 +31,7 @@ void DirectedFlowGraph::ResetFlow() {
   touched_.clear();
   if (++reset_epoch_ == 0) {  // Epoch wrapped: invalidate all stamps.
     std::fill(touched_epoch_.begin(), touched_epoch_.end(), 0);
+    std::fill(sink_nbr_epoch_.begin(), sink_nbr_epoch_.end(), 0);
     reset_epoch_ = 1;
   }
 }
@@ -37,9 +39,14 @@ void DirectedFlowGraph::ResetFlow() {
 void DirectedFlowGraph::StartProbe(VertexId u, VertexId v) {
   assert(graph_ != nullptr);
   assert(u != v);
+  // Lemma 5; the sink rule below never scans a direct s -> t edge.
+  assert(!graph_->HasEdge(u, v));
   ResetFlow();
   source_ = u;
   sink_ = v;
+  const auto nbrs = graph_->Neighbors(v);
+  for (const VertexId x : nbrs) sink_nbr_epoch_[x] = reset_epoch_;
+  work_arcs_ += nbrs.size();
 }
 
 void DirectedFlowGraph::NextPhase() {
@@ -71,61 +78,60 @@ std::uint32_t DirectedFlowGraph::SlotTarget(std::uint32_t node,
 bool DirectedFlowGraph::BuildLevels() {
   NextPhase();
   const std::uint32_t s = OutNode(source_);
-  const std::uint32_t t = InNode(sink_);
   queue_.clear();
   Visit(s, 0);
   queue_.push_back(s);  // kvcc-lint: reserved
   std::uint64_t work = 0;
+  // The sink's level is one past the first out-node labeled that feeds it:
+  // t_in is entered only over edge arcs x_out -> t_in, and the source does
+  // not feed it (non-adjacent endpoints). Once it is known the BFS only
+  // finishes the level in progress (in-nodes, one slot each), so every
+  // out-node one level below the sink is labeled and none of their rows
+  // is scanned.
+  sink_level_ = kNone;
   std::uint32_t level = 0;
-  // Levels w at `level`; true once the sink is reached.
+  // Levels w at `level`; true when w was not labeled yet.
   auto reach = [&](std::uint32_t w) {
     if (Seen(w)) return false;
     Visit(w, level);
-    if (w == t) {
-      sink_level_ = level;
-      return true;
-    }
     queue_.push_back(w);  // kvcc-lint: reserved
-    return false;
+    return true;
   };
   for (std::size_t head = 0; head < queue_.size(); ++head) {
     const std::uint32_t node = queue_[head];
     const VertexId x = node >> 1;
     level = node_[node].level + 1;
+    if (level >= sink_level_) break;
     if ((node & 1) == 0) {
       ++work;
-      if (reach(OutNode(prv_[x] == kNone ? x : prv_[x]))) break;
+      const VertexId y = prv_[x] == kNone ? x : prv_[x];
+      if (reach(OutNode(y)) && sink_level_ == kNone) {
+        ++work;
+        if (FeedsSink(y)) sink_level_ = level + 1;
+      }
       continue;
     }
     // Carries(x, y), split by source so that each loop compares against
     // values loaded once: reach() writes through pointers the compiler
     // cannot tell apart from the flow links.
     const auto nbrs = graph_->Neighbors(x);
-    bool found = false;
+    work += nbrs.size() + 1;
     if (x == source_) {
       for (const VertexId y : nbrs) {
-        ++work;
-        if (prv_[y] != x && reach(InNode(y))) {
-          found = true;
-          break;
-        }
+        if (prv_[y] != x) reach(InNode(y));
       }
     } else {
       const VertexId flow_head = nxt_[x];
       for (const VertexId y : nbrs) {
-        ++work;
-        if (y != flow_head && reach(InNode(y))) {
-          found = true;
-          break;
-        }
+        if (y != flow_head) reach(InNode(y));
       }
     }
-    if (found) break;
-    ++work;
-    if (prv_[x] != kNone && reach(InNode(x))) break;
+    if (prv_[x] != kNone) reach(InNode(x));
   }
   work_arcs_ += work;
-  return Seen(t);
+  if (sink_level_ == kNone) return false;
+  Visit(InNode(sink_), sink_level_);
+  return true;
 }
 
 // Warm-path: augmenting-path DFS over pooled cursors and path stack.
@@ -144,11 +150,9 @@ bool DirectedFlowGraph::FindAugmentingPath() {
     // u is on a path from the source, so the level BFS seeded its state.
     NodeState& state = node_[u];
     const std::uint32_t want = state.level + 1;
-    // One level further — and below the sink's level unless it is the
-    // sink: other nodes at that level are dead ends.
-    auto admissible = [&](std::uint32_t w) {
-      return LevelOf(w) == want && (want < sink_level_ || w == t);
-    };
+    // One level further. The BFS labels nothing at the sink's level but t,
+    // which only the want == sink_level_ branch below may return.
+    auto admissible = [&](std::uint32_t w) { return LevelOf(w) == want; };
     std::uint32_t next = kNone;
     if ((u & 1) == 0) {
       if (state.cursor == 0) {
@@ -160,6 +164,12 @@ bool DirectedFlowGraph::FindAugmentingPath() {
           state.cursor = 1;
         }
       }
+    } else if (want == sink_level_) {
+      // One level below the sink the only admissible head is t, which x_in
+      // never is: one check decides the node. After x -> t is augmented
+      // nxt[x] == t, so x is a dead end for the rest of the phase.
+      ++work;
+      if (FeedsSink(u >> 1)) next = t;
     } else {
       // SlotTarget's out-node case, unrolled over the CSR row: this scan
       // and the level BFS are where a probe spends its time.

@@ -20,8 +20,13 @@
 // restores its state in time proportional to the vertices it touched.
 //
 // Two probe styles share that residual:
-//   * LocCut — Dinic from scratch (level BFS with early exit at the sink,
-//     then a blocking DFS with per-node cursors): O(min(sqrt(n), k) * m).
+//   * LocCut — Dinic from scratch (level BFS, then a blocking DFS with
+//     per-node cursors): O(min(sqrt(n), k) * m). Each probe stamps the
+//     sink's neighbourhood once, so "x_out -> sink_in is residual" is one
+//     lookup (FeedsSink): the BFS fixes the sink's level as soon as it
+//     labels the first out-node feeding it and never scans the rows of that
+//     last out-node level, and the DFS decides each last-level node with
+//     the same single check instead of a row scan.
 //   * LocCutLocal — budget-capped greedy DFS flow growth (local search in
 //     the style of Nanongkai–Saranurak–Yingchareonthawornchai 2019): when a
 //     < k cut sits near u, the probe touches only the volume on u's side
@@ -76,8 +81,8 @@ class DirectedFlowGraph {
   /// been rebuilt or destroyed.
   void Bind(const Graph& g);
 
-  /// min(kappa(u, v), limit) for non-adjacent u != v. The caller must not
-  /// pass adjacent vertices (kappa is infinite there; Lemma 5).
+  /// min(kappa(u, v), limit) for non-adjacent u != v. Passing adjacent
+  /// vertices (kappa is infinite there; Lemma 5) is an asserted error.
   std::int32_t LocalConnectivity(VertexId u, VertexId v, std::int32_t limit);
 
   /// LOC-CUT (paper Alg. 2 lines 12-17): empty result when u == v, u and v
@@ -119,11 +124,17 @@ class DirectedFlowGraph {
     bool exact = false;
   };
 
-  /// Clears the flow links of every vertex the last probe touched and
-  /// binds the probe's endpoints.
+  /// Clears the flow links of every vertex the last probe touched, binds
+  /// the probe's endpoints and stamps the sink's neighbours.
   void StartProbe(VertexId u, VertexId v);
   void ResetFlow();
 
+  /// True iff the residual arc x_out -> sink_in exists: x neighbours the
+  /// sink (stamped by StartProbe) and the edge x -> sink carries no flow.
+  /// The source never qualifies, as it is not adjacent to the sink.
+  bool FeedsSink(VertexId x) const {
+    return sink_nbr_epoch_[x] == reset_epoch_ && nxt_[x] != sink_;
+  }
   /// True iff the edge x -> y carries flow.
   bool Carries(VertexId x, VertexId y) const {
     return x == source_ ? prv_[y] == x : nxt_[x] == y;
@@ -149,7 +160,9 @@ class DirectedFlowGraph {
     return Seen(node) ? node_[node].level : kNone;
   }
 
-  // Dinic: level BFS (stops at the sink's level), then blocking DFS.
+  // Dinic: level BFS (stops below the sink's level, which the first
+  // sink-feeding out-node fixes), then blocking DFS whose last level is one
+  // FeedsSink check per node.
   bool BuildLevels();
   bool FindAugmentingPath();
   std::int32_t MaxFlow(std::int32_t limit);
@@ -172,6 +185,8 @@ class DirectedFlowGraph {
   std::vector<VertexId> nxt_;
   std::vector<VertexId> touched_;
   std::vector<std::uint32_t> touched_epoch_;
+  // sink_nbr_epoch_[x] == reset_epoch_ iff x neighbours the probe's sink.
+  std::vector<std::uint32_t> sink_nbr_epoch_;
   std::uint32_t reset_epoch_ = 1;
 
   std::vector<NodeState> node_;

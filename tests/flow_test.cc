@@ -53,6 +53,43 @@ TEST(DirectedFlowGraphTest, RepeatedProbesMatchBruteForce) {
   }
 }
 
+// One oracle cycled over graphs that shrink and then grow must answer every
+// probe exactly as a freshly constructed oracle does: the value, the cut and
+// the inspected-slot count. Nothing stamped per probe (flow links, the
+// sink's neighbourhood) may outlive its probe or the graph it was bound to.
+TEST(DirectedFlowGraphTest, WarmOracleMatchesFreshAcrossRebinds) {
+  DirectedFlowGraph warm;
+  std::uint64_t seed = 3;
+  for (const VertexId n : {40u, 12u, 90u}) {
+    const Graph g = kvcc::testing::RandomConnectedGraph(n, 3 * n, seed++);
+    warm.Bind(g);
+    for (VertexId u = 0; u < n; ++u) {
+      for (VertexId v = 0; v < n; ++v) {
+        if (u == v || g.HasEdge(u, v)) continue;
+        const std::int32_t kappa = DirectedFlowGraph(g).LocalConnectivity(
+            u, v, static_cast<std::int32_t>(n));
+        for (const std::int32_t limit : {kappa, kappa + 1}) {
+          DirectedFlowGraph fresh(g);
+          std::uint64_t before = warm.work_arcs();
+          ASSERT_EQ(warm.LocalConnectivity(u, v, limit),
+                    fresh.LocalConnectivity(u, v, limit))
+              << "n=" << n << " u=" << u << " v=" << v << " limit=" << limit;
+          ASSERT_EQ(warm.work_arcs() - before, fresh.work_arcs())
+              << "n=" << n << " u=" << u << " v=" << v << " limit=" << limit;
+
+          DirectedFlowGraph fresh_cut(g);
+          const auto k = static_cast<std::uint32_t>(limit);
+          before = warm.work_arcs();
+          ASSERT_EQ(warm.LocCut(u, v, k), fresh_cut.LocCut(u, v, k))
+              << "n=" << n << " u=" << u << " v=" << v << " k=" << k;
+          ASSERT_EQ(warm.work_arcs() - before, fresh_cut.work_arcs())
+              << "n=" << n << " u=" << u << " v=" << v << " k=" << k;
+        }
+      }
+    }
+  }
+}
+
 TEST(StoerWagnerTest, TrivialGraphs) {
   EXPECT_EQ(StoerWagnerMinCut(Graph()).weight, GlobalMinCut::kInfiniteCut);
   EXPECT_EQ(StoerWagnerMinCut(CompleteGraph(1)).weight,
