@@ -71,16 +71,16 @@ class HybridOracle final : public CutOracle {
                               ProbeCounters& counters) override {
     const Graph& g = *flow_.graph();
     // Route to local search only where it can win. A Dinic phase pays one
-    // level BFS, which stops below the sink's level and never scans the
-    // rows of the last out-node level, so total_arcs bounds a phase rather
-    // than pricing it; the certify-heavy probes of a k-connected region run
-    // two or three phases. The greedy local pass usually certifies within
+    // level BFS grown from both the source and the sink, which stops where
+    // the two sides meet, so total_arcs bounds a phase rather than pricing
+    // it; the certify-heavy probes of a k-connected region run two or three
+    // phases. The greedy local pass usually certifies within
     // the first budget round (~budget_base arcs). So local search is worth
     // the fallback risk once the network is large enough that a first
     // budget round is cheap next to a single Dinic phase, provided the
     // source is not a hub (the DFS frontier grows with deg(u), defeating
-    // locality). With the shallower Dinic phases this bet mostly loses
-    // (bench_cut_oracle hub-heavy runs about 2x slower than Dinic); see
+    // locality). Since Dinic's level graph grows from both ends this bet
+    // loses (bench_cut_oracle hub-heavy runs 25-35x slower than Dinic); see
     // ROADMAP's "Retire LocalVC and Hybrid". Both tests are pure functions
     // of (graph, u, k), keeping probe routing — and with it every stats
     // counter — deterministic.

@@ -108,6 +108,11 @@ class CutOracle {
   /// \return The bound graph, or nullptr before the first bind.
   const Graph* graph() const { return flow_.graph(); }
 
+  /// \brief The shared flow substrate, for its monotone work counters
+  /// (inspected slots, Dinic phases, augmenting paths).
+  /// \return The oracle's flow graph.
+  const DirectedFlowGraph& flow() const { return flow_; }
+
  protected:
   /// \brief Shared flow substrate: the implicit vertex-split residual plus
   /// LOC-CUT extraction, reused by every engine.

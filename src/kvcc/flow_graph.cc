@@ -15,7 +15,6 @@ void DirectedFlowGraph::Bind(const Graph& g) {
     prv_.resize(n, kNone);           // kvcc-lint: reserved
     nxt_.resize(n, kNone);           // kvcc-lint: reserved
     touched_epoch_.resize(n, 0);     // kvcc-lint: reserved
-    sink_nbr_epoch_.resize(n, 0);    // kvcc-lint: reserved
     // New nodes carry epoch 0, which never equals a live phase epoch.
     node_.resize(2 * n);             // kvcc-lint: reserved
   }
@@ -31,7 +30,6 @@ void DirectedFlowGraph::ResetFlow() {
   touched_.clear();
   if (++reset_epoch_ == 0) {  // Epoch wrapped: invalidate all stamps.
     std::fill(touched_epoch_.begin(), touched_epoch_.end(), 0);
-    std::fill(sink_nbr_epoch_.begin(), sink_nbr_epoch_.end(), 0);
     reset_epoch_ = 1;
   }
 }
@@ -39,14 +37,11 @@ void DirectedFlowGraph::ResetFlow() {
 void DirectedFlowGraph::StartProbe(VertexId u, VertexId v) {
   assert(graph_ != nullptr);
   assert(u != v);
-  // Lemma 5; the sink rule below never scans a direct s -> t edge.
+  // Lemma 5; the sink's level round never scans a direct s -> t edge.
   assert(!graph_->HasEdge(u, v));
   ResetFlow();
   source_ = u;
   sink_ = v;
-  const auto nbrs = graph_->Neighbors(v);
-  for (const VertexId x : nbrs) sink_nbr_epoch_[x] = reset_epoch_;
-  work_arcs_ += nbrs.size();
 }
 
 void DirectedFlowGraph::NextPhase() {
@@ -73,64 +68,146 @@ std::uint32_t DirectedFlowGraph::SlotTarget(std::uint32_t node,
   return Carries(x, nbrs[slot]) ? kNone : InNode(nbrs[slot]);
 }
 
-// Warm-path: one level BFS per Dinic phase on pooled buffers.
+// Warm-path: one two-sided level BFS per Dinic phase on pooled buffers.
 // kvcc-lint: no-alloc
 bool DirectedFlowGraph::BuildLevels() {
   NextPhase();
   const std::uint32_t s = OutNode(source_);
   queue_.clear();
+  back_queue_.clear();
   Visit(s, 0);
   queue_.push_back(s);  // kvcc-lint: reserved
-  std::uint64_t work = 0;
-  // The sink's level is one past the first out-node labeled that feeds it:
-  // t_in is entered only over edge arcs x_out -> t_in, and the source does
-  // not feed it (non-adjacent endpoints). Once it is known the BFS only
-  // finishes the level in progress (in-nodes, one slot each), so every
-  // out-node one level below the sink is labeled and none of their rows
-  // is scanned.
-  sink_level_ = kNone;
-  std::uint32_t level = 0;
-  // Levels w at `level`; true when w was not labeled yet.
-  auto reach = [&](std::uint32_t w) {
-    if (Seen(w)) return false;
-    Visit(w, level);
-    queue_.push_back(w);  // kvcc-lint: reserved
-    return true;
-  };
-  for (std::size_t head = 0; head < queue_.size(); ++head) {
-    const std::uint32_t node = queue_[head];
-    const VertexId x = node >> 1;
-    level = node_[node].level + 1;
-    if (level >= sink_level_) break;
-    if ((node & 1) == 0) {
-      ++work;
-      const VertexId y = prv_[x] == kNone ? x : prv_[x];
-      if (reach(OutNode(y)) && sink_level_ == kNone) {
-        ++work;
-        if (FeedsSink(y)) sink_level_ = level + 1;
+  // The sink's round runs first: the arcs into t_in are x_out -> t_in for
+  // each neighbour x whose edge into the sink carries no flow (the source
+  // is not a neighbour, and the sink's out-node never enters a path).
+  Visit(InNode(sink_), kBackward);
+  const auto sink_nbrs = graph_->Neighbors(sink_);
+  std::uint64_t work = sink_nbrs.size();
+  for (const VertexId x : sink_nbrs) {
+    if (nxt_[x] != sink_) {
+      Visit(OutNode(x), kBackward | 1);
+      back_queue_.push_back(OutNode(x));  // kvcc-lint: reserved
+    }
+  }
+  // Each side's frontier is its deepest level, labeled completely; the
+  // labeled sets stay disjoint, so every s-t path is longer than
+  // fwd_level + back_level. A round expands the side with fewer row slots
+  // pending, and the first arc from one side into the other closes a path
+  // of exactly fwd_level + 1 + back_level: the shortest.
+  std::size_t fwd_begin = 0;
+  std::size_t back_begin = 0;
+  std::uint32_t fwd_level = 0;
+  std::uint32_t back_level = 1;
+  std::uint64_t fwd_pending = graph_->Degree(source_) + 1;
+  std::uint64_t back_pending = back_queue_.size();
+  bool met = false;
+  while (!met) {
+    const std::size_t fwd_end = queue_.size();
+    const std::size_t back_end = back_queue_.size();
+    if (fwd_begin == fwd_end || back_begin == back_end) {
+      work_arcs_ += work;
+      return false;  // One side is closed: the sink is unreachable.
+    }
+    if (fwd_pending <= back_pending) {
+      // Forward round over residual arcs. Even levels are out-nodes, odd
+      // levels in-nodes.
+      const std::uint32_t label = fwd_level + 1;
+      fwd_pending = 0;
+      auto reach = [&](std::uint32_t w) {
+        if (!Seen(w)) {
+          Visit(w, label);
+          queue_.push_back(w);  // kvcc-lint: reserved
+          fwd_pending += NumSlots(w);
+          return false;
+        }
+        assert((node_[w].level & kBackward) == 0 ||
+               node_[w].level == (kBackward | back_level));
+        return (node_[w].level & kBackward) != 0;
+      };
+      for (std::size_t head = fwd_begin; head < fwd_end && !met; ++head) {
+        const std::uint32_t node = queue_[head];
+        const VertexId x = node >> 1;
+        if ((node & 1) == 0) {
+          ++work;
+          met = reach(OutNode(prv_[x] == kNone ? x : prv_[x]));
+          continue;
+        }
+        // Carries(x, y), split by source so that each loop compares against
+        // values loaded once: reach() writes through pointers the compiler
+        // cannot tell apart from the flow links.
+        const auto nbrs = graph_->Neighbors(x);
+        work += nbrs.size() + 1;
+        if (x == source_) {
+          for (const VertexId y : nbrs) {
+            if (prv_[y] != x && reach(InNode(y))) {
+              met = true;
+              break;
+            }
+          }
+        } else {
+          const VertexId flow_head = nxt_[x];
+          for (const VertexId y : nbrs) {
+            if (y != flow_head && reach(InNode(y))) {
+              met = true;
+              break;
+            }
+          }
+        }
+        if (!met && prv_[x] != kNone) met = reach(InNode(x));
       }
+      fwd_begin = fwd_end;
+      if (!met) ++fwd_level;
       continue;
     }
-    // Carries(x, y), split by source so that each loop compares against
-    // values loaded once: reach() writes through pointers the compiler
-    // cannot tell apart from the flow links.
-    const auto nbrs = graph_->Neighbors(x);
-    work += nbrs.size() + 1;
-    if (x == source_) {
-      for (const VertexId y : nbrs) {
-        if (prv_[y] != x) reach(InNode(y));
+    // Backward round over reversed residual arcs. Odd levels are
+    // out-nodes, even levels in-nodes.
+    const std::uint32_t label = kBackward | (back_level + 1);
+    back_pending = 0;
+    auto reach = [&](std::uint32_t w) {
+      if (!Seen(w)) {
+        Visit(w, label);
+        back_queue_.push_back(w);  // kvcc-lint: reserved
+        back_pending += (w & 1) != 0 ? 1 : graph_->Degree(w >> 1) + 1;
+        return false;
       }
-    } else {
-      const VertexId flow_head = nxt_[x];
-      for (const VertexId y : nbrs) {
-        if (y != flow_head) reach(InNode(y));
+      assert((node_[w].level & kBackward) != 0 ||
+             node_[w].level == fwd_level);
+      return (node_[w].level & kBackward) == 0;
+    };
+    for (std::size_t head = back_begin; head < back_end && !met; ++head) {
+      const std::uint32_t node = back_queue_[head];
+      const VertexId x = node >> 1;
+      if ((node & 1) != 0) {
+        // Into x_out comes x_in when x is free, else the in-node of x's flow
+        // head, which is t_in (labeled already) when x feeds the sink.
+        ++work;
+        if (prv_[x] == kNone) {
+          met = reach(InNode(x));
+        } else if (nxt_[x] != sink_) {
+          met = reach(InNode(nxt_[x]));
+        }
+        continue;
       }
+      // Into y_in come y's neighbours' out-nodes, except the flow tail
+      // prv[y] and the sink, plus y_out when y carries flow.
+      const auto nbrs = graph_->Neighbors(x);
+      work += nbrs.size() + 1;
+      const VertexId flow_tail = prv_[x];
+      for (const VertexId y : nbrs) {
+        if (y != flow_tail && y != sink_ && reach(OutNode(y))) {
+          met = true;
+          break;
+        }
+      }
+      if (!met && flow_tail != kNone) met = reach(OutNode(x));
     }
-    if (prv_[x] != kNone) reach(InNode(x));
+    back_begin = back_end;
+    if (!met) ++back_level;
   }
   work_arcs_ += work;
-  if (sink_level_ == kNone) return false;
-  Visit(InNode(sink_), sink_level_);
+  meet_level_ = fwd_level;
+  path_length_ = fwd_level + 1 + back_level;
+  ++phases_;
   return true;
 }
 
@@ -149,9 +226,13 @@ bool DirectedFlowGraph::FindAugmentingPath() {
     }
     // u is on a path from the source, so the level BFS seeded its state.
     NodeState& state = node_[u];
-    const std::uint32_t want = state.level + 1;
-    // One level further. The BFS labels nothing at the sink's level but t,
-    // which only the want == sink_level_ branch below may return.
+    // u sits at path position path_.size(). The next node must carry
+    // forward level `next` up to the meeting level, and backward level
+    // path_length_ - next beyond it.
+    const auto next_pos = static_cast<std::uint32_t>(path_.size()) + 1;
+    const std::uint32_t want = next_pos <= meet_level_
+                                   ? next_pos
+                                   : kBackward | (path_length_ - next_pos);
     auto admissible = [&](std::uint32_t w) { return LevelOf(w) == want; };
     std::uint32_t next = kNone;
     if ((u & 1) == 0) {
@@ -164,12 +245,12 @@ bool DirectedFlowGraph::FindAugmentingPath() {
           state.cursor = 1;
         }
       }
-    } else if (want == sink_level_) {
-      // One level below the sink the only admissible head is t, which x_in
-      // never is: one check decides the node. After x -> t is augmented
-      // nxt[x] == t, so x is a dead end for the rest of the phase.
+    } else if (next_pos == path_length_) {
+      // u is at backward level 1, a neighbour of the sink, and its only
+      // admissible head is t: one check decides the node. After x -> t is
+      // augmented nxt[x] == t, so x is a dead end for the rest of the phase.
       ++work;
-      if (FeedsSink(u >> 1)) next = t;
+      if (nxt_[u >> 1] != sink_) next = t;
     } else {
       // SlotTarget's out-node case, unrolled over the CSR row: this scan
       // and the level BFS are where a probe spends its time.
@@ -210,6 +291,7 @@ bool DirectedFlowGraph::FindAugmentingPath() {
 
 // kvcc-lint: no-alloc
 void DirectedFlowGraph::Augment() {
+  ++augmenting_paths_;
   const std::size_t len = path_.size();
   for (std::size_t i = 0; i < len; ++i) {
     const std::uint32_t a = path_[i];

@@ -20,13 +20,23 @@
 // restores its state in time proportional to the vertices it touched.
 //
 // Two probe styles share that residual:
-//   * LocCut — Dinic from scratch (level BFS, then a blocking DFS with
-//     per-node cursors): O(min(sqrt(n), k) * m). Each probe stamps the
-//     sink's neighbourhood once, so "x_out -> sink_in is residual" is one
-//     lookup (FeedsSink): the BFS fixes the sink's level as soon as it
-//     labels the first out-node feeding it and never scans the rows of that
-//     last out-node level, and the DFS decides each last-level node with
-//     the same single check instead of a row scan.
+//   * LocCut — Dinic from scratch: O(min(sqrt(n), k) * m). Each phase's
+//     level graph grows from both ends. The forward BFS runs from s_out
+//     over residual arcs, the backward BFS from t_in over reversed ones
+//     (into y_in: x_out for each neighbour x whose edge x -> y carries no
+//     flow, plus y_out when y carries flow; into x_out: x_in when x is
+//     free, else the in-node of x's flow head). A round expands whichever
+//     frontier has fewer row slots pending, and the first arc from forward
+//     level a into backward level b fixes the phase's distance
+//     D = a + 1 + b; if either frontier empties first, no augmenting path
+//     is left. The sink's round runs first, so backward level 1 is exactly
+//     the out-nodes that feed t_in. The blocking DFS (per-node cursors)
+//     admits forward level q at path position q <= a and backward level
+//     D - q beyond, which is every node on a shortest path: it finds the
+//     same augmenting paths in the same phases as a one-sided level graph,
+//     but the BFS stops once the sides meet rather than sweeping every
+//     node closer to the source than the sink, and the DFS never enters
+//     a node beyond the meeting level that lies on no shortest path.
 //   * LocCutLocal — budget-capped greedy DFS flow growth (local search in
 //     the style of Nanongkai–Saranurak–Yingchareonthawornchai 2019): when a
 //     < k cut sits near u, the probe touches only the volume on u's side
@@ -101,6 +111,10 @@ class DirectedFlowGraph {
   /// Monotone count of residual slots inspected by all flow work on this
   /// oracle (KvccStats::probe_edges_touched is accumulated from deltas).
   std::uint64_t work_arcs() const { return work_arcs_; }
+  /// Monotone count of Dinic phases: level graphs that reached the sink.
+  std::uint64_t phases() const { return phases_; }
+  /// Monotone count of augmenting paths pushed, by Dinic or local search.
+  std::uint64_t augmenting_paths() const { return augmenting_paths_; }
 
   /// The bound graph (nullptr before the first Bind).
   const Graph* graph() const { return graph_; }
@@ -109,7 +123,10 @@ class DirectedFlowGraph {
   static std::uint32_t OutNode(VertexId v) { return 2 * v + 1; }
 
  private:
-  /// Per-node search state, seeded lazily against phase_epoch_.
+  /// Per-node search state, seeded lazily against phase_epoch_. A Dinic
+  /// phase labels each node from at most one side (touching the other
+  /// side's node is the meeting), so `level` holds a forward level or a
+  /// backward one tagged with kBackward.
   struct NodeState {
     std::uint32_t epoch = 0;
     std::uint32_t level = 0;
@@ -124,17 +141,11 @@ class DirectedFlowGraph {
     bool exact = false;
   };
 
-  /// Clears the flow links of every vertex the last probe touched, binds
-  /// the probe's endpoints and stamps the sink's neighbours.
+  /// Clears the flow links of every vertex the last probe touched and binds
+  /// the probe's endpoints.
   void StartProbe(VertexId u, VertexId v);
   void ResetFlow();
 
-  /// True iff the residual arc x_out -> sink_in exists: x neighbours the
-  /// sink (stamped by StartProbe) and the edge x -> sink carries no flow.
-  /// The source never qualifies, as it is not adjacent to the sink.
-  bool FeedsSink(VertexId x) const {
-    return sink_nbr_epoch_[x] == reset_epoch_ && nxt_[x] != sink_;
-  }
   /// True iff the edge x -> y carries flow.
   bool Carries(VertexId x, VertexId y) const {
     return x == source_ ? prv_[y] == x : nxt_[x] == y;
@@ -160,9 +171,9 @@ class DirectedFlowGraph {
     return Seen(node) ? node_[node].level : kNone;
   }
 
-  // Dinic: level BFS (stops below the sink's level, which the first
-  // sink-feeding out-node fixes), then blocking DFS whose last level is one
-  // FeedsSink check per node.
+  // Dinic: a level BFS grown from both ends until the sides meet, then a
+  // blocking DFS along forward levels up to the meeting and backward levels
+  // beyond it.
   bool BuildLevels();
   bool FindAugmentingPath();
   std::int32_t MaxFlow(std::int32_t limit);
@@ -185,19 +196,25 @@ class DirectedFlowGraph {
   std::vector<VertexId> nxt_;
   std::vector<VertexId> touched_;
   std::vector<std::uint32_t> touched_epoch_;
-  // sink_nbr_epoch_[x] == reset_epoch_ iff x neighbours the probe's sink.
-  std::vector<std::uint32_t> sink_nbr_epoch_;
   std::uint32_t reset_epoch_ = 1;
 
   std::vector<NodeState> node_;
   std::uint32_t phase_epoch_ = 0;
-  std::uint32_t sink_level_ = 0;  // the sink's level in the current phase
-  std::vector<std::uint32_t> queue_;
+  // The current phase's shortest s-t path: forward levels label its first
+  // meet_level_ + 1 nodes, backward levels the rest.
+  std::uint32_t meet_level_ = 0;
+  std::uint32_t path_length_ = 0;
+  std::vector<std::uint32_t> queue_;       // forward BFS (and cut) queue
+  std::vector<std::uint32_t> back_queue_;  // backward BFS queue
   std::vector<std::uint32_t> path_;  // nodes from the source, sink excluded
 
   std::uint64_t work_arcs_ = 0;
+  std::uint64_t phases_ = 0;
+  std::uint64_t augmenting_paths_ = 0;
 
   static constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
+  /// Marks a level as counted backward, in hops to the sink's in-node.
+  static constexpr std::uint32_t kBackward = 1u << 31;
 };
 
 }  // namespace kvcc

@@ -133,15 +133,16 @@ void CountPrunedVertex(SweepCause cause, KvccStats* stats) {
   }
 }
 
-// Adaptive wavefront batch bounds: start small (distance ordering tends to
-// surface cuts within the first few probes, and every probe past a
-// found cut is waste), grow while the observed prune rate keeps
-// speculative waste low, shrink when sweeps are pruning aggressively.
+// Adaptive wavefront batch bounds: start at a single probe (a search that
+// finds a cut mostly finds it at its first phase-1 probe, and every probe
+// past a found cut is a whole-component waste), grow while the observed
+// prune rate keeps speculative waste low, shrink when sweeps are pruning
+// aggressively.
 // Driven purely by the loop's (deterministic) outcomes, so the batch-size
 // trajectory — and with it every probe-waste counter — is a pure function
 // of (input, options), independent of thread count or timing.
-constexpr std::uint32_t kBatchInit = 4;
-constexpr std::uint32_t kBatchMin = 4;
+constexpr std::uint32_t kBatchInit = 1;
+constexpr std::uint32_t kBatchMin = 1;
 constexpr std::uint32_t kBatchMax = 256;
 
 }  // namespace

@@ -92,22 +92,6 @@ TEST(CutOracleTest, EnginesAgreeProbeByProbeAndMatchBruteForce) {
   }
 }
 
-// Vertices reachable from u in g - removed, as a bitmask (n <= 32).
-std::uint32_t ReachableMask(const std::vector<std::uint32_t>& adj,
-                            VertexId u, std::uint32_t removed) {
-  std::uint32_t seen = 1u << u;
-  std::uint32_t frontier = seen;
-  while (frontier != 0) {
-    std::uint32_t next = 0;
-    for (std::uint32_t f = frontier; f != 0; f &= f - 1) {
-      next |= adj[static_cast<std::size_t>(__builtin_ctz(f))];
-    }
-    frontier = next & ~removed & ~seen;
-    seen |= frontier;
-  }
-  return seen;
-}
-
 // An engine-independent pin on *which* cut a probe returns, not only its
 // size: with k = kappa(u, v) + 1, every engine must return the minimum u-v
 // separator closest to u — the size-kappa separator S whose u-side
@@ -120,10 +104,6 @@ TEST(CutOracleTest, ProbeReturnsTheClosestToSourceMinimumSeparator) {
     const Graph g =
         kvcc::testing::RandomConnectedGraph(11, 10 + seed % 25, seed);
     const VertexId n = g.NumVertices();
-    std::vector<std::uint32_t> adj(n, 0);
-    for (VertexId w = 0; w < n; ++w) {
-      for (VertexId x : g.Neighbors(w)) adj[w] |= 1u << x;
-    }
     std::vector<std::unique_ptr<CutOracle>> oracles;
     for (CutOracleKind kind : AllKinds()) {
       oracles.push_back(MakeCutOracle(kind));
@@ -132,36 +112,9 @@ TEST(CutOracleTest, ProbeReturnsTheClosestToSourceMinimumSeparator) {
     for (VertexId u = 0; u < n; ++u) {
       for (VertexId v = 0; v < n; ++v) {
         if (u == v || g.HasEdge(u, v)) continue;
-        const std::uint32_t kappa =
-            kvcc::testing::BruteLocalVertexConnectivity(g, u, v);
-        // Among all size-kappa separators, the one with the smallest
-        // u-side component; it must be contained in all the others.
-        std::uint32_t closest = 0;
-        std::uint32_t closest_side = ~0u;
-        std::vector<std::uint32_t> sides;
-        const std::uint32_t endpoints = (1u << u) | (1u << v);
-        for (std::uint32_t s = 0; s < (1u << n); ++s) {
-          if ((s & endpoints) != 0 ||
-              static_cast<std::uint32_t>(__builtin_popcount(s)) != kappa) {
-            continue;
-          }
-          const std::uint32_t side = ReachableMask(adj, u, s);
-          if ((side & (1u << v)) != 0) continue;
-          sides.push_back(side);
-          if (__builtin_popcount(side) < __builtin_popcount(closest_side)) {
-            closest = s;
-            closest_side = side;
-          }
-        }
-        ASSERT_FALSE(sides.empty());
-        for (std::uint32_t side : sides) {
-          ASSERT_EQ(closest_side & ~side, 0u)
-              << "seed=" << seed << " u=" << u << " v=" << v;
-        }
-        std::vector<VertexId> expected;
-        for (VertexId w = 0; w < n; ++w) {
-          if ((closest >> w) & 1u) expected.push_back(w);
-        }
+        const std::vector<VertexId> expected =
+            kvcc::testing::BruteClosestMinimumSeparator(g, u, v);
+        const auto kappa = static_cast<std::uint32_t>(expected.size());
         for (const auto& oracle : oracles) {
           ProbeCounters trace;
           std::vector<VertexId> cut = oracle->Probe(u, v, kappa + 1, trace);

@@ -499,6 +499,23 @@ PlantedVccGraph MakeCancellationWorkload(std::uint64_t seed = 23) {
   return GeneratePlantedVcc(config);
 }
 
+/// A workload for the 1 ms deadline tests: a 48-block chain that takes
+/// about 100 ms at one and at two threads (Release build, 4-core x86 VM),
+/// so the deadline elapses long before the decomposition can. The
+/// cancellation workload above finishes in about 1.5 ms, too close to the
+/// deadline to lose the race every time.
+PlantedVccGraph MakeDeadlineWorkload(std::uint64_t seed) {
+  PlantedVccConfig config;
+  config.num_blocks = 48;
+  config.block_size_min = 60;
+  config.block_size_max = 80;
+  config.connectivity = 14;
+  config.overlap = 2;
+  config.bridge_edges = 1;
+  config.seed = seed;
+  return GeneratePlantedVcc(config);
+}
+
 /// Collects like CollectingSink but parks the delivering worker inside the
 /// first OnComponent call until released — a deterministic window in which
 /// the job is provably mid-flight.
@@ -624,7 +641,7 @@ TEST(KvccEngineJobControlTest, CancelUnknownOrConsumedTicketReturnsFalse) {
 }
 
 TEST(KvccEngineJobControlTest, DeadlineCancelsEngineJob) {
-  const PlantedVccGraph planted = MakeCancellationWorkload(29);
+  const PlantedVccGraph planted = MakeDeadlineWorkload(29);
   KvccEngine engine(2);
   KvccOptions options;
   options.deadline_ms = 1;  // Elapses long before the decomposition can.
@@ -640,7 +657,7 @@ TEST(KvccEngineJobControlTest, DeadlineCancelsEngineJob) {
 }
 
 TEST(KvccEngineJobControlTest, DeadlineCancelsSerialEnumeration) {
-  const PlantedVccGraph planted = MakeCancellationWorkload(31);
+  const PlantedVccGraph planted = MakeDeadlineWorkload(31);
   KvccOptions options;
   options.num_threads = 1;
   options.deadline_ms = 1;

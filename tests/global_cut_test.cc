@@ -319,101 +319,101 @@ TEST(GlobalCutTest, SerialCountersMatchGoldenValues) {
   // Columns: the KvccStats fields in declaration order.
   const std::vector<std::string> golden = {
       "harary_5_24 VCCE cut: "
-      "0 0 0 18 5 7 0 3 0 1 25 0 0 0 0 0 0 0 60 60 1 0 0 0 0 0 0 0 0 0 0 10859 "
+      "0 0 0 18 5 7 0 3 0 1 25 0 0 0 0 0 0 0 60 60 1 0 0 0 0 0 0 0 0 0 0 6752 "
       "0 0 0 0 0 0 0",
       "harary_5_24 VCCE enum: "
       "0 0 0 18 5 7 0 3 0 1 25 0 1 1 0 0 23 0 60 60 1 0 0 0 0 0 0 0 0 0 0 "
-      "10859 0 0 0 0 0 0 0",
+      "6752 0 0 0 0 0 0 0",
       "harary_5_24 VCCE-N cut: "
       "0 3 0 18 2 7 0 3 0 1 25 0 0 0 0 0 0 0 60 60 1 0 24 0 0 0 0 0 0 0 0 "
-      "10859 0 0 0 0 0 0 0",
+      "6752 0 0 0 0 0 0 0",
       "harary_5_24 VCCE-N enum: "
       "0 3 0 18 2 7 0 3 0 1 25 0 1 1 0 0 23 0 60 60 1 0 24 0 0 0 0 0 0 0 0 "
-      "10859 0 0 0 0 0 0 0",
+      "6752 0 0 0 0 0 0 0",
       "harary_5_24 VCCE-G cut: "
-      "0 0 0 18 5 7 1 2 0 1 25 0 0 0 0 0 0 0 60 60 1 0 0 0 0 0 0 0 0 0 0 10859 "
+      "0 0 0 18 5 7 1 2 0 1 25 0 0 0 0 0 0 0 60 60 1 0 0 0 0 0 0 0 0 0 0 6752 "
       "0 0 0 0 0 0 0",
       "harary_5_24 VCCE-G enum: "
       "0 0 0 18 5 7 1 2 0 1 25 0 1 1 0 0 23 0 60 60 1 0 0 0 0 0 0 0 0 0 0 "
-      "10859 0 0 0 0 0 0 0",
+      "6752 0 0 0 0 0 0 0",
       "harary_5_24 VCCE* cut: "
       "0 3 0 18 2 7 1 2 0 1 25 0 0 0 0 0 0 0 60 60 1 0 24 0 0 0 0 0 0 0 0 "
-      "10859 0 0 0 0 0 0 0",
+      "6752 0 0 0 0 0 0 0",
       "harary_5_24 VCCE* enum: "
       "0 3 0 18 2 7 1 2 0 1 25 0 1 1 0 0 23 0 60 60 1 0 24 0 0 0 0 0 0 0 0 "
-      "10859 0 0 0 0 0 0 0",
+      "6752 0 0 0 0 0 0 0",
       "two_cliques VCCE cut: "
-      "0 0 0 1 5 0 0 0 0 1 1 0 0 0 0 0 0 0 29 27 2 0 0 0 0 0 0 0 0 0 0 66 0 0 "
+      "0 0 0 1 5 0 0 0 0 1 1 0 0 0 0 0 0 0 29 27 2 0 0 0 0 0 0 0 0 0 0 58 0 0 "
       "0 0 0 0 0",
       "two_cliques VCCE enum: "
-      "0 0 0 1 15 0 0 12 0 3 1 1 2 3 0 0 19 0 59 55 4 0 0 0 0 0 0 0 0 0 0 66 0 "
+      "0 0 0 1 15 0 0 12 0 3 1 1 2 3 0 0 19 0 59 55 4 0 0 0 0 0 0 0 0 0 0 58 0 "
       "0 0 0 0 0 0",
       "two_cliques VCCE-N cut: "
-      "0 0 0 1 0 0 0 0 0 1 1 0 0 0 0 0 0 0 29 27 2 8 10 0 0 0 0 0 0 0 0 74 0 "
+      "0 0 0 1 0 0 0 0 0 1 1 0 0 0 0 0 0 0 29 27 2 8 10 0 0 0 0 0 0 0 0 61 0 "
       "0 0 0 0 0 0",
       "two_cliques VCCE-N enum: "
-      "10 0 0 1 0 0 0 0 0 3 1 1 2 3 0 0 19 0 59 55 4 16 18 4 0 0 0 0 0 0 0 74 "
+      "10 0 0 1 0 0 0 0 0 3 1 1 2 3 0 0 19 0 59 55 4 16 18 4 0 0 0 0 0 0 0 61 "
       "0 0 0 0 0 0 0",
       "two_cliques VCCE-G cut: "
-      "0 0 0 1 0 0 0 0 0 1 1 0 0 0 0 0 0 0 29 27 2 0 0 0 0 0 0 0 0 0 0 66 0 0 "
+      "0 0 0 1 0 0 0 0 0 1 1 0 0 0 0 0 0 0 29 27 2 0 0 0 0 0 0 0 0 0 0 58 0 0 "
       "0 0 0 0 0",
       "two_cliques VCCE-G enum: "
-      "0 0 0 1 10 0 0 12 0 3 1 1 2 3 0 0 19 0 59 55 4 0 0 0 0 0 0 0 0 0 0 66 0 "
+      "0 0 0 1 10 0 0 12 0 3 1 1 2 3 0 0 19 0 59 55 4 0 0 0 0 0 0 0 0 0 0 58 0 "
       "0 0 0 0 0 0",
       "two_cliques VCCE* cut: "
-      "0 0 0 1 0 0 0 0 0 1 1 0 0 0 0 0 0 0 29 27 2 8 10 0 0 0 0 0 0 0 0 74 0 "
+      "0 0 0 1 0 0 0 0 0 1 1 0 0 0 0 0 0 0 29 27 2 8 10 0 0 0 0 0 0 0 0 61 0 "
       "0 0 0 0 0 0",
       "two_cliques VCCE* enum: "
-      "10 0 0 1 0 0 0 0 0 3 1 1 2 3 0 0 19 0 59 55 4 16 18 4 0 0 0 0 0 0 0 74 "
+      "10 0 0 1 0 0 0 0 0 3 1 1 2 3 0 0 19 0 59 55 4 16 18 4 0 0 0 0 0 0 0 61 "
       "0 0 0 0 0 0 0",
       "petersen VCCE cut: "
-      "0 0 0 1 1 0 0 0 0 1 1 0 0 0 0 0 0 0 15 15 0 0 0 0 0 0 0 0 0 0 0 70 0 0 "
+      "0 0 0 1 1 0 0 0 0 1 1 0 0 0 0 0 0 0 15 15 0 0 0 0 0 0 0 0 0 0 0 51 0 0 "
       "0 0 0 0 0",
       "petersen VCCE enum: "
       "0 0 0 0 0 0 0 0 0 0 0 0 0 1 10 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 "
       "0 0 0 0",
       "petersen VCCE-N cut: "
-      "0 0 0 1 0 0 0 0 0 1 1 0 0 0 0 0 0 0 15 15 0 0 10 0 0 0 0 0 0 0 0 70 0 0 "
+      "0 0 0 1 0 0 0 0 0 1 1 0 0 0 0 0 0 0 15 15 0 0 10 0 0 0 0 0 0 0 0 51 0 0 "
       "0 0 0 0 0",
       "petersen VCCE-N enum: "
       "0 0 0 0 0 0 0 0 0 0 0 0 0 1 10 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 "
       "0 0 0 0",
       "petersen VCCE-G cut: "
-      "0 0 0 1 0 0 0 0 0 1 1 0 0 0 0 0 0 0 15 15 0 0 0 0 0 0 0 0 0 0 0 70 0 0 "
+      "0 0 0 1 0 0 0 0 0 1 1 0 0 0 0 0 0 0 15 15 0 0 0 0 0 0 0 0 0 0 0 51 0 0 "
       "0 0 0 0 0",
       "petersen VCCE-G enum: "
       "0 0 0 0 0 0 0 0 0 0 0 0 0 1 10 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 "
       "0 0 0 0",
       "petersen VCCE* cut: "
-      "0 0 0 1 0 0 0 0 0 1 1 0 0 0 0 0 0 0 15 15 0 0 10 0 0 0 0 0 0 0 0 70 0 0 "
+      "0 0 0 1 0 0 0 0 0 1 1 0 0 0 0 0 0 0 15 15 0 0 10 0 0 0 0 0 0 0 0 51 0 0 "
       "0 0 0 0 0",
       "petersen VCCE* enum: "
       "0 0 0 0 0 0 0 0 0 0 0 0 0 1 10 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 "
       "0 0 0 0",
       "planted_77 VCCE cut: "
-      "0 0 0 9 10 0 0 0 0 1 9 0 0 0 0 0 0 0 560 547 5 0 0 0 0 0 0 0 0 0 0 2799 "
+      "0 0 0 9 10 0 0 0 0 1 9 0 0 0 0 0 0 0 560 547 5 0 0 0 0 0 0 0 0 0 0 2157 "
       "0 0 0 0 0 0 0",
       "planted_77 VCCE enum: "
       "0 0 0 92 87 47 0 93 0 9 139 4 5 9 4 4 367 0 2182 2135 19 0 0 0 0 0 0 0 "
-      "0 0 0 37852 0 0 0 0 0 0 0",
+      "0 0 0 25887 0 0 0 0 0 0 0",
       "planted_77 VCCE-N cut: "
-      "0 0 0 1 0 0 0 0 0 1 1 0 0 0 0 0 0 0 560 547 5 0 94 0 0 0 0 0 0 0 0 3996 "
+      "0 0 0 1 0 0 0 0 0 1 1 0 0 0 0 0 0 0 560 547 5 0 94 0 0 0 0 0 0 0 0 2604 "
       "0 0 0 0 0 0 0",
       "planted_77 VCCE-N enum: "
       "0 47 0 51 3 47 0 93 0 9 98 4 5 9 4 4 367 0 2182 2135 19 0 94 282 0 0 0 "
-      "0 0 0 0 35878 0 0 0 0 0 0 0",
+      "0 0 0 0 23739 0 0 0 0 0 0 0",
       "planted_77 VCCE-G cut: "
-      "0 0 0 1 0 0 0 0 0 1 1 0 0 0 0 0 0 0 560 547 5 0 0 0 0 0 0 0 0 0 0 3996 "
+      "0 0 0 1 0 0 0 0 0 1 1 0 0 0 0 0 0 0 560 547 5 0 0 0 0 0 0 0 0 0 0 2604 "
       "0 0 0 0 0 0 0",
       "planted_77 VCCE-G enum: "
       "0 0 0 53 48 47 8 85 0 9 100 4 5 9 4 4 367 0 2182 2135 19 0 0 0 0 0 0 0 "
-      "0 0 0 36394 0 0 0 0 0 0 0",
+      "0 0 0 24056 0 0 0 0 0 0 0",
       "planted_77 VCCE* cut: "
-      "0 0 0 1 0 0 0 0 0 1 1 0 0 0 0 0 0 0 560 547 5 0 94 0 0 0 0 0 0 0 0 3996 "
+      "0 0 0 1 0 0 0 0 0 1 1 0 0 0 0 0 0 0 560 547 5 0 94 0 0 0 0 0 0 0 0 2604 "
       "0 0 0 0 0 0 0",
       "planted_77 VCCE* enum: "
       "0 47 0 51 3 33 8 85 14 9 84 4 5 9 4 4 367 0 2182 2135 19 0 94 282 0 0 0 "
-      "0 0 0 0 34479 0 0 0 0 0 0 0",
+      "0 0 0 0 22692 0 0 0 0 0 0 0",
   };
 
   std::vector<std::string> observed;

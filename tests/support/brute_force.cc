@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
 
 #include "graph/connected_components.h"
 #include "graph/graph_builder.h"
@@ -153,6 +154,55 @@ std::uint32_t BruteLocalVertexConnectivity(const Graph& g, VertexId u,
     if (found) return size;
   }
   return kInfiniteConnectivity;
+}
+
+std::vector<VertexId> BruteClosestMinimumSeparator(const Graph& g,
+                                                   VertexId u, VertexId v) {
+  const VertexId n = g.NumVertices();
+  std::vector<std::uint32_t> adj(n, 0);
+  for (VertexId w = 0; w < n; ++w) {
+    for (VertexId x : g.Neighbors(w)) adj[w] |= 1u << x;
+  }
+  // Vertices reachable from u in g - removed, as a bitmask.
+  auto reachable = [&](std::uint32_t removed) {
+    std::uint32_t seen = 1u << u;
+    std::uint32_t frontier = seen;
+    while (frontier != 0) {
+      std::uint32_t next = 0;
+      for (std::uint32_t f = frontier; f != 0; f &= f - 1) {
+        next |= adj[static_cast<std::size_t>(__builtin_ctz(f))];
+      }
+      frontier = next & ~removed & ~seen;
+      seen |= frontier;
+    }
+    return seen;
+  };
+  const std::uint32_t kappa = BruteLocalVertexConnectivity(g, u, v);
+  const std::uint32_t endpoints = (1u << u) | (1u << v);
+  std::uint32_t closest = 0;
+  std::uint32_t closest_side = ~0u;
+  std::vector<std::uint32_t> sides;
+  ForEachSubsetOfSize(n, kappa, [&](std::uint32_t mask) {
+    if ((mask & endpoints) != 0) return false;
+    const std::uint32_t side = reachable(mask);
+    if ((side >> v & 1) != 0) return false;
+    sides.push_back(side);
+    if (__builtin_popcount(side) < __builtin_popcount(closest_side)) {
+      closest = mask;
+      closest_side = side;
+    }
+    return false;
+  });
+  for (const std::uint32_t side : sides) {
+    if ((closest_side & ~side) != 0) {
+      throw std::logic_error("minimum separators have no closest to u");
+    }
+  }
+  std::vector<VertexId> separator;
+  for (VertexId w = 0; w < n; ++w) {
+    if ((closest >> w & 1) != 0) separator.push_back(w);
+  }
+  return separator;
 }
 
 bool BruteIsKVertexConnected(const Graph& g, std::uint32_t k) {

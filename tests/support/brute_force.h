@@ -17,6 +17,14 @@ namespace kvcc::testing {
 std::uint32_t BruteLocalVertexConnectivity(const Graph& g, VertexId u,
                                            VertexId v);
 
+/// The minimum u-v vertex separator closest to u, for non-adjacent u != v
+/// (n <= ~20): among all separators of kappa(u, v) vertices, the one whose
+/// u-side component in g - S is smallest; that component is contained in
+/// every other minimum separator's, which is checked (std::logic_error
+/// otherwise). Sorted.
+std::vector<VertexId> BruteClosestMinimumSeparator(const Graph& g,
+                                                   VertexId u, VertexId v);
+
 /// Definition-2 check by enumerating all removal sets of size < k.
 bool BruteIsKVertexConnected(const Graph& g, std::uint32_t k);
 
